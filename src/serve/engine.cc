@@ -403,35 +403,84 @@ Engine::Engine(ScenarioRegistry* registry) : Engine(registry, Options()) {}
 Engine::Engine(ScenarioRegistry* registry, Options options)
     : registry_(registry), options_(std::move(options)) {}
 
+namespace {
+
+/// The cold half of Engine::GetOrPrepare, run without the engine lock.
+Result<std::shared_ptr<const PreparedQuery>> BuildPrepared(
+    std::shared_ptr<const ResidentScenario> scenario,
+    const QueryParams& params) {
+  FRESHSEL_OBS_SCOPED_LATENCY("serve.prepare.latency");
+  FRESHSEL_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedQuery> prepared,
+      PrepareQuery(std::move(scenario), params));
+  // After the build, so that callers can coalesce onto a build that fails.
+  FRESHSEL_FAILPOINT_RETURN(
+      "serve.prepare",
+      Status::Unavailable("injected fault: serve.prepare"));
+  return prepared;
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const PreparedQuery>> Engine::GetOrPrepare(
     const QueryParams& params) {
-  FRESHSEL_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const ResidentScenario> scenario,
-      registry_->Get(params.scenario));
-  const std::string key = PreparedKey(*scenario, params);
+  std::shared_ptr<const ResidentScenario> scenario;
+  std::string key;
+  std::shared_ptr<PreparedEntry> entry;
+  {
+    MutexLock lock(mutex_);
+    // Read under the engine lock, so that the purge in LoadScenario, which
+    // follows its registry swap, sees every entry made from the old
+    // snapshot.
+    FRESHSEL_ASSIGN_OR_RETURN(scenario, registry_->Get(params.scenario));
+    key = PreparedKey(*scenario, params);
+    const auto it = prepared_.find(key);
+    if (it != prepared_.end()) {
+      entry = it->second;
+      entry->last_used = ++tick_;
+      ++stats_.hits;
+      FRESHSEL_OBS_COUNT("serve.prepared.hits", 1);
+      if (!entry->result.has_value()) {
+        FRESHSEL_OBS_COUNT("serve.prepared.coalesced", 1);
+        while (!entry->result.has_value()) built_cv_.Wait(mutex_);
+      }
+      return *entry->result;
+    }
+    ++stats_.misses;
+    FRESHSEL_OBS_COUNT("serve.prepared.misses", 1);
+    EvictForInsert();
+    entry = std::make_shared<PreparedEntry>();
+    entry->scenario = scenario->name;
+    entry->epoch = scenario->epoch;
+    entry->last_used = ++tick_;
+    prepared_.emplace(key, entry);
+  }
+
+  Result<std::shared_ptr<const PreparedQuery>> built =
+      BuildPrepared(scenario, params);
+
   MutexLock lock(mutex_);
-  const auto it = prepared_.find(key);
-  if (it != prepared_.end()) {
-    ++stats_.hits;
-    FRESHSEL_OBS_COUNT("serve.prepared.hits", 1);
-    return it->second;
+  entry->result = built;
+  // A failed build caches nothing. If a reload has already dropped the
+  // entry, the key is of an old epoch and cannot have been reinserted.
+  if (!built.ok()) prepared_.erase(key);
+  built_cv_.NotifyAll();
+  return built;
+}
+
+void Engine::EvictForInsert() {
+  while (prepared_.size() >= options_.prepared_capacity) {
+    auto victim = prepared_.end();
+    for (auto it = prepared_.begin(); it != prepared_.end(); ++it) {
+      if (it->second->result.has_value() &&
+          (victim == prepared_.end() ||
+           it->second->last_used < victim->second->last_used)) {
+        victim = it;
+      }
+    }
+    if (victim == prepared_.end()) return;  // Everything is building.
+    prepared_.erase(victim);
   }
-  ++stats_.misses;
-  FRESHSEL_OBS_COUNT("serve.prepared.misses", 1);
-  // Build under the lock: concurrent first-queries of one shape would
-  // otherwise race to do the same expensive build; different shapes
-  // briefly serialize, which is acceptable at preparation cost.
-  FRESHSEL_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const PreparedQuery> prepared,
-      PrepareQuery(scenario, params));
-  while (prepared_.size() >= options_.prepared_capacity &&
-         !prepared_order_.empty()) {
-    prepared_.erase(prepared_order_.front());
-    prepared_order_.erase(prepared_order_.begin());
-  }
-  prepared_[key] = prepared;
-  prepared_order_.push_back(key);
-  return prepared;
 }
 
 Result<QueryOutcome> Engine::ExecuteQuery(const QueryParams& params) {
@@ -465,7 +514,15 @@ Result<ScenarioInfo> Engine::LoadScenario(const LoadParams& params) {
   FRESHSEL_FAILPOINT_RETURN(
       "serve.ingest",
       Status::Unavailable("injected fault: serve.ingest"));
-  return registry_->Load(params.scenario, params.dir, options_.ingest);
+  FRESHSEL_ASSIGN_OR_RETURN(
+      ScenarioInfo info,
+      registry_->Load(params.scenario, params.dir, options_.ingest));
+  MutexLock lock(mutex_);
+  std::erase_if(prepared_, [&info](const auto& slot) {
+    return slot.second->scenario == info.name &&
+           slot.second->epoch < info.epoch;
+  });
+  return info;
 }
 
 std::vector<ScenarioInfo> Engine::ListScenarios() const {

@@ -102,14 +102,17 @@ Status ExecuteSelect(std::shared_ptr<const ResidentScenario> scenario,
                      obs::RunReport* report,
                      QueryOutcome* outcome = nullptr);
 
-/// Query execution against a registry, with a bounded FIFO cache of
-/// prepared queries so repeated request shapes reuse the resident
-/// estimator state. Thread-safe: concurrent ExecuteQuery calls on one
-/// Engine are the daemon's normal operating mode.
+/// Query execution against a registry, with a bounded cache of prepared
+/// queries so repeated request shapes reuse the resident estimator state.
+/// Each key is built once, outside the engine lock: concurrent callers of
+/// the key being built wait for that build, and callers of every other key
+/// are never held up by it. Thread-safe: concurrent ExecuteQuery calls on
+/// one Engine are the daemon's normal operating mode.
 class Engine {
  public:
   struct Options {
-    /// Prepared-query cache capacity; the oldest entry is evicted first.
+    /// Prepared-query cache capacity; the least recently used ready entry
+    /// is evicted first (entries still building are never evicted).
     std::size_t prepared_capacity = 32;
     /// Ingestion options for op:"load" requests.
     IngestOptions ingest;
@@ -123,28 +126,51 @@ class Engine {
   /// request asked for it.
   Result<QueryOutcome> ExecuteQuery(const QueryParams& params);
 
-  /// Ingests a scenario directory at runtime (op:"load").
-  Result<ScenarioInfo> LoadScenario(const LoadParams& params);
+  /// Ingests a scenario directory at runtime (op:"load"), then drops the
+  /// cached prepared queries of that name's older epochs, which no query
+  /// can hit again.
+  Result<ScenarioInfo> LoadScenario(const LoadParams& params)
+      FRESHSEL_EXCLUDES(mutex_);
 
   std::vector<ScenarioInfo> ListScenarios() const;
   ScenarioRegistry* registry() const { return registry_; }
 
+  /// A miss is one build; every other lookup, including a caller that
+  /// waits for a build already in flight, is a hit.
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
-  CacheStats prepared_cache_stats() const;
+  CacheStats prepared_cache_stats() const FRESHSEL_EXCLUDES(mutex_);
 
  private:
+  /// One cache slot. Callers of the key share it through a shared_ptr, so
+  /// a failed build still reaches every caller that waited for it after
+  /// the slot has left the map. Its fields are read and written only with
+  /// `mutex_` held (the analysis cannot name the engine's mutex from here).
+  struct PreparedEntry {
+    std::string scenario;
+    std::uint64_t epoch = 0;
+    /// Value of `tick_` at the entry's last use; the smallest is evicted.
+    std::uint64_t last_used = 0;
+    /// Empty while the build runs, then its outcome.
+    std::optional<Result<std::shared_ptr<const PreparedQuery>>> result;
+  };
+
   Result<std::shared_ptr<const PreparedQuery>> GetOrPrepare(
       const QueryParams& params) FRESHSEL_EXCLUDES(mutex_);
+  /// Makes room for one more entry by evicting least-recently-used ready
+  /// entries; entries still building are skipped.
+  void EvictForInsert() FRESHSEL_REQUIRES(mutex_);
 
   ScenarioRegistry* const registry_;
   const Options options_;
   mutable Mutex mutex_;
-  std::map<std::string, std::shared_ptr<const PreparedQuery>> prepared_
+  /// Signalled whenever a build finishes, successfully or not.
+  CondVar built_cv_;
+  std::map<std::string, std::shared_ptr<PreparedEntry>> prepared_
       FRESHSEL_GUARDED_BY(mutex_);
-  std::vector<std::string> prepared_order_ FRESHSEL_GUARDED_BY(mutex_);
+  std::uint64_t tick_ FRESHSEL_GUARDED_BY(mutex_) = 0;
   CacheStats stats_ FRESHSEL_GUARDED_BY(mutex_);
 };
 

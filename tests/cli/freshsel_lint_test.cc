@@ -577,10 +577,12 @@ TEST_F(FreshselLintTest, ServeLayerInstrumentationNamesPassClean) {
                std::string("void F() {\n  FRESHSEL_") +
                    "FAILPOINT(\"serve.query\");\n  FRESHSEL_" +
                    "FAILPOINT_RETURN(\"serve.ingest\", s);\n  FRESHSEL_" +
+                   "FAILPOINT_RETURN(\"serve.prepare\", s);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.queries.executed\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.queries.failed\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.prepared.hits\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.prepared.misses\", 1);\n  FRESHSEL_" +
+                   "OBS_COUNT(\"serve.prepared.coalesced\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.scenarios.ingested\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.requests.received\", 1);\n  FRESHSEL_" +
                    "OBS_COUNT(\"serve.requests.rejected\", 1);\n  FRESHSEL_" +
@@ -591,7 +593,8 @@ TEST_F(FreshselLintTest, ServeLayerInstrumentationNamesPassClean) {
                    "OBS_COUNT(\"serve.connections.accepted\", 1);\n"
                    "  FRESHSEL_" +
                    "OBS_COUNT(\"serve.scrapes.served\", 1);\n  FRESHSEL_" +
-                   "OBS_SCOPED_LATENCY(\"serve.query.latency\");\n}\n");
+                   "OBS_SCOPED_LATENCY(\"serve.query.latency\");\n  FRESHSEL_" +
+                   "OBS_SCOPED_LATENCY(\"serve.prepare.latency\");\n}\n");
   const std::vector<Finding> findings = Lint();
   EXPECT_TRUE(findings.empty()) << Rules(findings).front();
 }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli/commands.h"
@@ -56,6 +57,26 @@ class EngineTest : public ::testing::Test {
     params.points = 3;
     params.stride = 14;
     return params;
+  }
+
+  /// A shape whose build is slow (tens of milliseconds: preparation grows
+  /// with the square of the eval grid) but whose selection stays cheap
+  /// (one source), so that tests can act while it is still building.
+  static QueryParams SlowParams(const ScenarioRegistry& registry) {
+    QueryParams params = BaseParams();
+    params.points = 1500;
+    params.stride = 1;
+    Result<std::shared_ptr<const ResidentScenario>> scenario =
+        registry.Get(params.scenario);
+    if (scenario.ok()) params.roster = {(*scenario)->profiles[0].name};
+    return params;
+  }
+
+  /// Spins until the engine has started `misses` builds.
+  static void WaitForMisses(const Engine& engine, std::uint64_t misses) {
+    while (engine.prepared_cache_stats().misses < misses) {
+      std::this_thread::yield();
+    }
   }
 
   /// Ingest at the same cutoff the queries use. Batch `select --t0 100`
@@ -142,7 +163,7 @@ TEST_F(EngineTest, ExecuteQueryIsByteIdenticalToBatchSelect) {
   EXPECT_EQ(repeat->oracle_calls, outcome->oracle_calls);
 }
 
-TEST_F(EngineTest, PreparedCacheHitsMissesAndFifoEviction) {
+TEST_F(EngineTest, PreparedCacheHitsMissesAndLruEviction) {
   ScenarioRegistry registry;
   ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
   Engine::Options options;
@@ -154,27 +175,74 @@ TEST_F(EngineTest, PreparedCacheHitsMissesAndFifoEviction) {
   EXPECT_EQ(engine.prepared_cache_stats().hits, 0u);
   EXPECT_EQ(engine.prepared_cache_stats().misses, 1u);
 
+  QueryParams b = BaseParams();
+  b.stride = 7;
+  ASSERT_TRUE(engine.ExecuteQuery(b).ok());
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 2u);
+
   // Same shape -> hit; algorithm knobs (seed, restarts) are not part of
-  // the prepared key.
+  // the prepared key. The hit makes `a` more recently used than `b`.
   QueryParams a_reseeded = a;
   a_reseeded.seed = 99;
   ASSERT_TRUE(engine.ExecuteQuery(a_reseeded).ok());
   EXPECT_EQ(engine.prepared_cache_stats().hits, 1u);
-  EXPECT_EQ(engine.prepared_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 2u);
 
-  QueryParams b = BaseParams();
-  b.stride = 7;
-  ASSERT_TRUE(engine.ExecuteQuery(b).ok());
   QueryParams c = BaseParams();
   c.points = 2;
-  ASSERT_TRUE(engine.ExecuteQuery(c).ok());  // Capacity 2: evicts `a`.
+  ASSERT_TRUE(engine.ExecuteQuery(c).ok());  // Capacity 2: evicts `b`.
   EXPECT_EQ(engine.prepared_cache_stats().misses, 3u);
 
-  ASSERT_TRUE(engine.ExecuteQuery(a).ok());  // FIFO evicted -> miss again.
-  EXPECT_EQ(engine.prepared_cache_stats().misses, 4u);
-
-  ASSERT_TRUE(engine.ExecuteQuery(c).ok());  // Still resident -> hit.
+  // `a` was inserted first but touched since; FIFO would have evicted it.
+  ASSERT_TRUE(engine.ExecuteQuery(a).ok());
   EXPECT_EQ(engine.prepared_cache_stats().hits, 2u);
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 3u);
+
+  ASSERT_TRUE(engine.ExecuteQuery(b).ok());  // Evicted -> miss again.
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 4u);
+}
+
+TEST_F(EngineTest, ReloadDropsStaleEntriesOfThatScenarioOnly) {
+  ScenarioRegistry registry;
+  Engine::Options options;
+  options.ingest = BaseIngest();
+  Engine engine(&registry, options);
+  LoadParams load;
+  load.scenario = "default";
+  load.dir = scratch_.path();
+  ASSERT_TRUE(engine.LoadScenario(load).ok());
+  LoadParams other_load = load;
+  other_load.scenario = "other";
+  ASSERT_TRUE(engine.LoadScenario(other_load).ok());
+
+  QueryParams other = BaseParams();
+  other.scenario = "other";
+  ASSERT_TRUE(engine.ExecuteQuery(other).ok());
+  ASSERT_TRUE(engine.ExecuteQuery(BaseParams()).ok());
+  std::weak_ptr<const ResidentScenario> old_snapshot;
+  {
+    Result<std::shared_ptr<const ResidentScenario>> current =
+        registry.Get("default");
+    ASSERT_TRUE(current.ok());
+    old_snapshot = *current;
+  }
+
+  // Start a reload while a query of the old epoch is still building.
+  Result<QueryOutcome> in_flight = Status::Internal("not run");
+  std::thread query(
+      [&] { in_flight = engine.ExecuteQuery(SlowParams(registry)); });
+  WaitForMisses(engine, 3);
+  ASSERT_TRUE(engine.LoadScenario(load).ok());
+  query.join();
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status().ToString();
+  EXPECT_TRUE(old_snapshot.expired());
+
+  // The other scenario's entry survived the reload; the reloaded name
+  // builds afresh.
+  ASSERT_TRUE(engine.ExecuteQuery(other).ok());
+  EXPECT_EQ(engine.prepared_cache_stats().hits, 1u);
+  ASSERT_TRUE(engine.ExecuteQuery(BaseParams()).ok());
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 4u);
 }
 
 TEST_F(EngineTest, RosterFiltersAndRejectsUnknownNames) {
@@ -344,6 +412,72 @@ TEST_F(EngineTest, QueryFailpointSurfacesAsStructuredError) {
             std::string::npos);
   fault::FailpointRegistry::Global().DisarmAll();
   EXPECT_TRUE(engine.ExecuteQuery(BaseParams()).ok());  // Recovers.
+}
+
+TEST_F(EngineTest, ColdBuildDoesNotBlockHitsOnOtherKeys) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Engine engine(&registry);
+  // Armed but never firing: the failpoint's hit count is the number of
+  // builds that have finished.
+  ASSERT_TRUE(fault::FailpointRegistry::Global()
+                  .ArmFromSpec("serve.prepare=prob:0")
+                  .ok());
+  const fault::Failpoint& builds_done =
+      fault::FailpointRegistry::Global().Get("serve.prepare");
+  ASSERT_TRUE(engine.ExecuteQuery(BaseParams()).ok());  // Warms K2.
+  ASSERT_EQ(builds_done.hits(), 1u);
+
+  Result<QueryOutcome> cold = Status::Internal("not run");
+  std::thread cold_caller(
+      [&] { cold = engine.ExecuteQuery(SlowParams(registry)); });
+  WaitForMisses(engine, 2);  // K1's build has started.
+  Result<QueryOutcome> warm = engine.ExecuteQuery(BaseParams());
+  const std::uint64_t finished = builds_done.hits();
+  cold_caller.join();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(finished, 1u) << "the K2 hit waited for K1's build";
+  EXPECT_EQ(engine.prepared_cache_stats().hits, 1u);
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 2u);
+}
+
+TEST_F(EngineTest, FailedBuildReachesEveryCoalescedCallerAndIsNotCached) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Engine engine(&registry);
+  ASSERT_TRUE(fault::FailpointRegistry::Global()
+                  .ArmFromSpec("serve.prepare=once")
+                  .ok());
+
+  constexpr int kCallers = 4;
+  std::vector<Result<QueryOutcome>> results(
+      kCallers, Result<QueryOutcome>(Status::Internal("not run")));
+  std::vector<std::thread> callers;
+  callers.emplace_back(
+      [&] { results[0] = engine.ExecuteQuery(SlowParams(registry)); });
+  WaitForMisses(engine, 1);  // The build is running; the rest coalesce.
+  for (int i = 1; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      results[static_cast<std::size_t>(i)] =
+          engine.ExecuteQuery(SlowParams(registry));
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (const Result<QueryOutcome>& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+    EXPECT_NE(result.status().message().find("serve.prepare"),
+              std::string::npos);
+  }
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.prepared_cache_stats().hits,
+            static_cast<std::uint64_t>(kCallers - 1));
+
+  // Nothing was cached: the next call builds again, and succeeds.
+  EXPECT_TRUE(engine.ExecuteQuery(SlowParams(registry)).ok());
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 2u);
 }
 
 TEST_F(EngineTest, IngestFailpointSurfacesAsStructuredError) {
