@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "obs/macros.h"
 #include "stats/kaplan_meier.h"
@@ -57,36 +59,68 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
   profile.name = history.name();
   profile.sig_t0 = integration::BuildSignatures(world, history, t0);
 
-  // Observed scope and the source's distinct content-update days within T.
-  std::set<world::SubdomainId> scope;
-  std::set<TimePoint> update_days;
+  // Observed scope and the source's distinct content-update days within T,
+  // marked in flat arrays over the world's subdomains and over days
+  // [0, t0] (t0 <= horizon, so no longer than the world's own per-day
+  // counts). The rare days before 0 a replayed file may carry are
+  // deduplicated apart.
+  const std::uint32_t subdomain_count = world.domain().subdomain_count();
+  std::vector<char> in_scope(subdomain_count, 0);
+  std::vector<char> is_update_day(static_cast<std::size_t>(t0) + 1, 0);
+  std::vector<TimePoint> negative_update_days;
+  std::size_t update_day_count = 0;
+  TimePoint first_update_day = std::numeric_limits<TimePoint>::max();
+  TimePoint last_update_day = std::numeric_limits<TimePoint>::min();
+  auto mark_day = [&](TimePoint day) {
+    first_update_day = std::min(first_update_day, day);
+    last_update_day = std::max(last_update_day, day);
+    if (day < 0) {
+      negative_update_days.push_back(day);
+    } else if (!is_update_day[static_cast<std::size_t>(day)]) {
+      is_update_day[static_cast<std::size_t>(day)] = 1;
+      ++update_day_count;
+    }
+  };
   for (const source::CaptureRecord& rec : history.records()) {
     bool seen_by_t0 = false;
     for (const auto& [version, day] : rec.version_captures) {
       if (day <= t0) {
-        update_days.insert(day);
+        mark_day(day);
         seen_by_t0 = true;
       }
     }
     if (rec.deleted != world::kNever && rec.deleted <= t0) {
-      update_days.insert(rec.deleted);
+      mark_day(rec.deleted);
       seen_by_t0 = true;
     }
-    if (seen_by_t0) scope.insert(rec.subdomain);
+    if (!seen_by_t0) continue;
+    if (rec.subdomain >= subdomain_count) {
+      return Status::InvalidArgument(
+          "source '" + history.name() + "' carries entity " +
+          std::to_string(rec.entity) + " in subdomain " +
+          std::to_string(rec.subdomain) + ", outside the world's domain");
+    }
+    in_scope[rec.subdomain] = 1;
   }
-  profile.observed_scope.assign(scope.begin(), scope.end());
+  for (world::SubdomainId sub = 0; sub < subdomain_count; ++sub) {
+    if (in_scope[sub]) profile.observed_scope.push_back(sub);
+  }
+  std::sort(negative_update_days.begin(), negative_update_days.end());
+  update_day_count += static_cast<std::size_t>(
+      std::unique(negative_update_days.begin(), negative_update_days.end()) -
+      negative_update_days.begin());
 
   // Learned update interval u_S (mean gap between distinct update days) and
   // the anchor t_S0 (last observed update day).
-  if (update_days.size() >= 2) {
-    const double span = static_cast<double>(
-        *update_days.rbegin() - *update_days.begin());
+  if (update_day_count >= 2) {
+    const double span =
+        static_cast<double>(last_update_day - first_update_day);
     profile.update_interval =
-        span / static_cast<double>(update_days.size() - 1);
+        span / static_cast<double>(update_day_count - 1);
   } else {
     profile.update_interval = 1.0;  // Fallback: assume daily refresh.
   }
-  profile.anchor = update_days.empty() ? t0 : *update_days.rbegin();
+  profile.anchor = update_day_count == 0 ? t0 : last_update_day;
 
   // Kaplan-Meier effectiveness distributions from exact + right-censored
   // delays (Section 4.1.2 / Figure 7).

@@ -1,8 +1,13 @@
 #include "io/scenario_io.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -13,7 +18,69 @@ namespace freshsel::io {
 
 namespace {
 
-Status ParseInt(const std::string& text, std::int64_t* out) {
+/// Reads the whole of `path` into `out`. False when it cannot be opened; a
+/// read error ends the contents early, as it would end std::getline.
+bool ReadWholeFile(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) out->reserve(static_cast<std::size_t>(size));
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    out->append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return true;
+}
+
+/// Walks a buffer line by line exactly as std::getline walks a stream: a
+/// last line without '\n' still counts, a final '\n' opens no empty line,
+/// and '\r' stays part of its line.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) : rest_(text) {}
+
+  bool Next(std::string_view* line) {
+    if (rest_.empty()) return false;
+    const std::size_t end = rest_.find('\n');
+    *line = rest_.substr(0, end);
+    rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                      : end + 1);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// Splits `text` at every `separator`, keeping empty fields as Split does.
+/// Stores the first N fields and returns how many there are in all.
+template <std::size_t N>
+std::size_t SplitFields(std::string_view text, char separator,
+                        std::array<std::string_view, N>* fields) {
+  std::size_t count = 0;
+  while (true) {
+    const std::size_t pos = text.find(separator);
+    if (count < N) (*fields)[count] = text.substr(0, pos);
+    ++count;
+    if (pos == std::string_view::npos) return count;
+    text.remove_prefix(pos + 1);
+  }
+}
+
+/// Calls `fn` on each `separator`-delimited part of `text`, empty parts
+/// included, and stops at the first error.
+template <typename Fn>
+Status ForEachPart(std::string_view text, char separator, Fn&& fn) {
+  while (true) {
+    const std::size_t pos = text.find(separator);
+    FRESHSEL_RETURN_IF_ERROR(fn(text.substr(0, pos)));
+    if (pos == std::string_view::npos) return Status::OK();
+    text.remove_prefix(pos + 1);
+  }
+}
+
+Status ParseInt(std::string_view text, std::int64_t* out) {
   if (text.empty()) {
     return Status::InvalidArgument("expected integer, got empty field");
   }
@@ -21,7 +88,7 @@ Status ParseInt(const std::string& text, std::int64_t* out) {
   const char* end = begin + text.size();
   auto [ptr, ec] = std::from_chars(begin, end, *out);
   if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("malformed integer: " + text);
+    return Status::InvalidArgument("malformed integer: " + std::string(text));
   }
   return Status::OK();
 }
@@ -33,15 +100,23 @@ std::string JoinTimes(const std::vector<TimePoint>& times) {
   return Join(parts, "|");
 }
 
-Result<std::vector<TimePoint>> ParseTimes(const std::string& text) {
-  std::vector<TimePoint> times;
-  if (text.empty()) return times;
-  for (const std::string& part : Split(text, '|')) {
+/// How many parts ForEachPart visits in `text`.
+std::size_t PartCount(std::string_view text, char separator) {
+  return static_cast<std::size_t>(
+             std::count(text.begin(), text.end(), separator)) +
+         1;
+}
+
+/// Parses a '|'-separated day list; empty text is the empty list.
+Status ParseTimes(std::string_view text, std::vector<TimePoint>* times) {
+  if (text.empty()) return Status::OK();
+  times->reserve(PartCount(text, '|'));
+  return ForEachPart(text, '|', [times](std::string_view part) {
     std::int64_t value = 0;
     FRESHSEL_RETURN_IF_ERROR(ParseInt(part, &value));
-    times.push_back(value);
-  }
-  return times;
+    times->push_back(value);
+    return Status::OK();
+  });
 }
 
 }  // namespace
@@ -78,15 +153,19 @@ Result<world::World> ReadWorldCsv(const std::string& path) {
   FRESHSEL_OBS_SCOPED_LATENCY("io.read_world.seconds");
   FRESHSEL_FAILPOINT_RETURN(
       "io.read", Status::Unavailable("injected fault: io.read " + path));
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
+  // Every view below points into `buffer`, which outlives them all.
+  std::string buffer;
+  if (!ReadWholeFile(path, &buffer)) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  LineCursor lines(buffer);
+  std::string_view line;
+  if (!lines.Next(&line)) {
     return Status::InvalidArgument("empty world file: " + path);
   }
-  std::vector<std::string> header = Split(line, ',');
-  if (header.size() != 6 || header[0] != "#world") {
-    return Status::InvalidArgument("bad world header: " + line);
+  std::array<std::string_view, 6> header;
+  if (SplitFields(line, ',', &header) != 6 || header[0] != "#world") {
+    return Status::InvalidArgument("bad world header: " + std::string(line));
   }
   std::int64_t dim1_size = 0;
   std::int64_t dim2_size = 0;
@@ -96,21 +175,21 @@ Result<world::World> ReadWorldCsv(const std::string& path) {
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[5], &horizon));
   FRESHSEL_ASSIGN_OR_RETURN(
       world::DataDomain domain,
-      world::DataDomain::Create(header[1],
+      world::DataDomain::Create(std::string(header[1]),
                                 static_cast<std::uint32_t>(dim1_size),
-                                header[3],
+                                std::string(header[3]),
                                 static_cast<std::uint32_t>(dim2_size)));
   world::World world(std::move(domain), horizon);
 
-  if (!std::getline(in, line) ||
-      line != "id,subdomain,birth,death,updates") {
+  if (!lines.Next(&line) || line != "id,subdomain,birth,death,updates") {
     return Status::InvalidArgument("bad world column header");
   }
-  while (std::getline(in, line)) {
+  std::uint64_t rows = 0;
+  std::array<std::string_view, 5> fields;
+  while (lines.Next(&line)) {
     if (line.empty()) continue;
-    std::vector<std::string> fields = Split(line, ',');
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad world row: " + line);
+    if (SplitFields(line, ',', &fields) != 5) {
+      return Status::InvalidArgument("bad world row: " + std::string(line));
     }
     world::EntityRecord record;
     std::int64_t value = 0;
@@ -124,11 +203,12 @@ Result<world::World> ReadWorldCsv(const std::string& path) {
     } else {
       FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[3], &record.death));
     }
-    FRESHSEL_ASSIGN_OR_RETURN(record.update_times, ParseTimes(fields[4]));
+    FRESHSEL_RETURN_IF_ERROR(ParseTimes(fields[4], &record.update_times));
     FRESHSEL_RETURN_IF_ERROR(world.AddEntity(std::move(record)));
-    FRESHSEL_OBS_COUNT("io.world_rows.read", 1);
+    ++rows;
   }
   FRESHSEL_RETURN_IF_ERROR(world.Finalize());
+  FRESHSEL_OBS_COUNT("io.world_rows.read", rows);
   return world;
 }
 
@@ -170,49 +250,57 @@ Result<source::SourceHistory> ReadSourceHistoryCsv(const std::string& path) {
   FRESHSEL_TRACE_SPAN("io/read_source_csv");
   FRESHSEL_FAILPOINT_RETURN(
       "io.read", Status::Unavailable("injected fault: io.read " + path));
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
+  // Every view below points into `buffer`, which outlives them all.
+  std::string buffer;
+  if (!ReadWholeFile(path, &buffer)) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  LineCursor lines(buffer);
+  std::string_view line;
+  if (!lines.Next(&line)) {
     return Status::InvalidArgument("empty source file: " + path);
   }
-  std::vector<std::string> header = Split(line, ',');
-  if (header.size() != 5 || header[0] != "#source") {
-    return Status::InvalidArgument("bad source header: " + line);
+  std::array<std::string_view, 5> header;
+  if (SplitFields(line, ',', &header) != 5 || header[0] != "#source") {
+    return Status::InvalidArgument("bad source header: " + std::string(line));
   }
   source::SourceSpec spec;
-  spec.name = header[1];
+  spec.name = std::string(header[1]);
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[2], &spec.schedule.period));
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[3], &spec.schedule.phase));
   std::int64_t entity_count = 0;
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[4], &entity_count));
 
-  if (!std::getline(in, line)) {
+  if (!lines.Next(&line)) {
     return Status::InvalidArgument("missing scope line");
   }
-  std::vector<std::string> scope_fields = Split(line, ',');
-  if (scope_fields.size() != 2 || scope_fields[0] != "#scope") {
-    return Status::InvalidArgument("bad scope line: " + line);
+  std::array<std::string_view, 2> scope_fields;
+  if (SplitFields(line, ',', &scope_fields) != 2 ||
+      scope_fields[0] != "#scope") {
+    return Status::InvalidArgument("bad scope line: " + std::string(line));
   }
   if (!scope_fields[1].empty()) {
-    for (const std::string& part : Split(scope_fields[1], '|')) {
-      std::int64_t sub = 0;
-      FRESHSEL_RETURN_IF_ERROR(ParseInt(part, &sub));
-      spec.scope.push_back(static_cast<world::SubdomainId>(sub));
-    }
+    FRESHSEL_RETURN_IF_ERROR(
+        ForEachPart(scope_fields[1], '|', [&spec](std::string_view part) {
+          std::int64_t sub = 0;
+          FRESHSEL_RETURN_IF_ERROR(ParseInt(part, &sub));
+          spec.scope.push_back(static_cast<world::SubdomainId>(sub));
+          return Status::OK();
+        }));
   }
 
   source::SourceHistory history(std::move(spec),
                                 static_cast<std::size_t>(entity_count));
-  if (!std::getline(in, line) ||
+  if (!lines.Next(&line) ||
       line != "entity,subdomain,inserted,deleted,captures") {
     return Status::InvalidArgument("bad source column header");
   }
-  while (std::getline(in, line)) {
+  std::uint64_t rows = 0;
+  std::array<std::string_view, 5> fields;
+  while (lines.Next(&line)) {
     if (line.empty()) continue;
-    std::vector<std::string> fields = Split(line, ',');
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad source row: " + line);
+    if (SplitFields(line, ',', &fields) != 5) {
+      return Status::InvalidArgument("bad source row: " + std::string(line));
     }
     source::CaptureRecord record;
     std::int64_t value = 0;
@@ -227,22 +315,30 @@ Result<source::SourceHistory> ReadSourceHistoryCsv(const std::string& path) {
       FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[3], &record.deleted));
     }
     if (!fields[4].empty()) {
-      for (const std::string& pair : Split(fields[4], '|')) {
-        std::vector<std::string> parts = Split(pair, ':');
-        if (parts.size() != 2) {
-          return Status::InvalidArgument("bad capture pair: " + pair);
-        }
-        std::int64_t version = 0;
-        std::int64_t day = 0;
-        FRESHSEL_RETURN_IF_ERROR(ParseInt(parts[0], &version));
-        FRESHSEL_RETURN_IF_ERROR(ParseInt(parts[1], &day));
-        record.version_captures.emplace_back(
-            static_cast<std::uint32_t>(version), day);
-      }
+      record.version_captures.reserve(PartCount(fields[4], '|'));
+      FRESHSEL_RETURN_IF_ERROR(
+          ForEachPart(fields[4], '|', [&record](std::string_view pair) {
+            const std::size_t colon = pair.find(':');
+            if (colon == std::string_view::npos ||
+                pair.find(':', colon + 1) != std::string_view::npos) {
+              return Status::InvalidArgument("bad capture pair: " +
+                                             std::string(pair));
+            }
+            std::int64_t version = 0;
+            std::int64_t day = 0;
+            FRESHSEL_RETURN_IF_ERROR(
+                ParseInt(pair.substr(0, colon), &version));
+            FRESHSEL_RETURN_IF_ERROR(
+                ParseInt(pair.substr(colon + 1), &day));
+            record.version_captures.emplace_back(
+                static_cast<std::uint32_t>(version), day);
+            return Status::OK();
+          }));
     }
     FRESHSEL_RETURN_IF_ERROR(history.AddRecord(std::move(record)));
-    FRESHSEL_OBS_COUNT("io.source_rows.read", 1);
+    ++rows;
   }
+  FRESHSEL_OBS_COUNT("io.source_rows.read", rows);
   return history;
 }
 

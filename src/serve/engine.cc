@@ -142,9 +142,13 @@ Result<ScenarioInfo> ScenarioRegistry::Load(const std::string& name,
   FRESHSEL_ASSIGN_OR_RETURN(ResidentScenario scenario,
                             IngestScenario(name, dir, options));
   auto shared = std::make_shared<ResidentScenario>(std::move(scenario));
+  // Declared before the lock, so the replaced snapshot is released after
+  // unlocking: freeing a large scenario takes tens of milliseconds, and
+  // Engine::GetOrPrepare takes this mutex under its own.
+  std::shared_ptr<const ResidentScenario> replaced;
   MutexLock lock(mutex_);
   shared->epoch = next_epoch_++;
-  scenarios_[name] = shared;
+  replaced = std::exchange(scenarios_[name], shared);
   return Describe(*shared);
 }
 
@@ -517,11 +521,19 @@ Result<ScenarioInfo> Engine::LoadScenario(const LoadParams& params) {
   FRESHSEL_ASSIGN_OR_RETURN(
       ScenarioInfo info,
       registry_->Load(params.scenario, params.dir, options_.ingest));
+  // Declared before the lock, so purged entries are released after
+  // unlocking, as the registry releases its replaced snapshot: the last of
+  // them may hold that snapshot.
+  std::vector<std::shared_ptr<PreparedEntry>> purged;
   MutexLock lock(mutex_);
-  std::erase_if(prepared_, [&info](const auto& slot) {
-    return slot.second->scenario == info.name &&
-           slot.second->epoch < info.epoch;
-  });
+  for (auto it = prepared_.begin(); it != prepared_.end();) {
+    if (it->second->scenario == info.name && it->second->epoch < info.epoch) {
+      purged.push_back(std::move(it->second));
+      it = prepared_.erase(it);
+    } else {
+      ++it;
+    }
+  }
   return info;
 }
 

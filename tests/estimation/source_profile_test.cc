@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "source/source_simulator.h"
 #include "testing/test_world.h"
@@ -175,6 +178,112 @@ TEST(SourceProfileTest, LearnSourceProfilesBatch) {
       LearnSourceProfiles(w, histories, 60).value();
   ASSERT_EQ(profiles.size(), 2u);
   EXPECT_EQ(profiles[0].name, "test-source");
+}
+
+/// A history over MakeTestWorld() (six entities, four subdomains, horizon
+/// 100) holding exactly `records`.
+source::SourceHistory MakeEdgeHistory(
+    std::vector<source::CaptureRecord> records) {
+  source::SourceSpec spec;
+  spec.name = "edge";
+  spec.scope = {0, 1, 2, 3};
+  source::SourceHistory history(spec, 6);
+  for (source::CaptureRecord& rec : records) {
+    EXPECT_TRUE(history.AddRecord(std::move(rec)).ok());
+  }
+  return history;
+}
+
+source::CaptureRecord Captured(
+    world::EntityId entity, world::SubdomainId sub, TimePoint deleted,
+    std::vector<std::pair<std::uint32_t, TimePoint>> captures) {
+  source::CaptureRecord rec;
+  rec.entity = entity;
+  rec.subdomain = sub;
+  rec.inserted = captures.front().second;
+  rec.deleted = deleted;
+  rec.version_captures = std::move(captures);
+  return rec;
+}
+
+/// Scope, interval and anchor at the edges of the window: events at day 0
+/// and at t0 count, events after t0 do not, a deletion is an update day,
+/// days before 0 still count, and a source with no event by t0 falls back
+/// to daily refresh anchored at t0. Expected values are worked by hand.
+TEST(SourceProfileTest, ScopeIntervalAndAnchorAtWindowEdges) {
+  const world::World w = testing::MakeTestWorld();
+  const source::SourceHistory edges = MakeEdgeHistory({
+      // Days 0, 12, 35; a deletion at 50.
+      Captured(0, 0, 50, {{0, 0}, {1, 12}, {2, 35}}),
+      // Day 0 again, and 22.
+      Captured(1, 0, world::kNever, {{0, 0}, {1, 22}}),
+      // Day 8; the deletion at 81 is after every t0 below.
+      Captured(2, 1, 81, {{0, 8}}),
+      // A day before 0, then 41; 61 is after every t0 below.
+      Captured(3, 2, world::kNever, {{0, -3}, {1, 41}, {2, 61}}),
+      // Only after t0: subdomain 3 stays out of the observed scope.
+      Captured(4, 3, world::kNever, {{0, 51}}),
+  });
+  // t0 = 50: update days {-3, 0, 8, 12, 22, 35, 41, 50}.
+  SourceProfile at_50 = LearnSourceProfile(w, edges, 50).value();
+  EXPECT_EQ(at_50.observed_scope,
+            (std::vector<world::SubdomainId>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(at_50.update_interval, 53.0 / 7.0);
+  EXPECT_EQ(at_50.anchor, 50);
+  // t0 = 49: the deletion at 50 drops out; {-3, 0, 8, 12, 22, 35, 41}.
+  SourceProfile at_49 = LearnSourceProfile(w, edges, 49).value();
+  EXPECT_EQ(at_49.observed_scope,
+            (std::vector<world::SubdomainId>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(at_49.update_interval, 44.0 / 6.0);
+  EXPECT_EQ(at_49.anchor, 41);
+  // t0 = 51: subdomain 3 joins through its capture at 51.
+  SourceProfile at_51 = LearnSourceProfile(w, edges, 51).value();
+  EXPECT_EQ(at_51.observed_scope,
+            (std::vector<world::SubdomainId>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(at_51.update_interval, 54.0 / 8.0);
+  EXPECT_EQ(at_51.anchor, 51);
+
+  // Captures at day 0 and at t0 only.
+  const source::SourceHistory ends =
+      MakeEdgeHistory({Captured(1, 0, world::kNever, {{0, 0}, {1, 50}})});
+  SourceProfile both_ends = LearnSourceProfile(w, ends, 50).value();
+  EXPECT_EQ(both_ends.observed_scope, (std::vector<world::SubdomainId>{0}));
+  EXPECT_DOUBLE_EQ(both_ends.update_interval, 50.0);
+  EXPECT_EQ(both_ends.anchor, 50);
+
+  // Only days before 0, one of them twice: {-7, -2}, anchored at the last.
+  const source::SourceHistory early = MakeEdgeHistory({
+      Captured(0, 0, world::kNever, {{0, -7}}),
+      Captured(3, 2, world::kNever, {{0, -7}, {1, -2}}),
+  });
+  SourceProfile before_zero = LearnSourceProfile(w, early, 50).value();
+  EXPECT_EQ(before_zero.observed_scope,
+            (std::vector<world::SubdomainId>{0, 2}));
+  EXPECT_DOUBLE_EQ(before_zero.update_interval, 5.0);
+  EXPECT_EQ(before_zero.anchor, -2);
+
+  // No event by t0 at all.
+  const source::SourceHistory late = MakeEdgeHistory({
+      Captured(4, 3, world::kNever, {{0, 51}}),
+      Captured(2, 1, 75, {{0, 70}}),
+  });
+  SourceProfile silent = LearnSourceProfile(w, late, 50).value();
+  EXPECT_TRUE(silent.observed_scope.empty());
+  EXPECT_DOUBLE_EQ(silent.update_interval, 1.0);
+  EXPECT_EQ(silent.anchor, 50);
+}
+
+/// A replayed file can name a subdomain the world does not have; once
+/// such a record is seen by t0 it is an error, not an out-of-range index.
+TEST(SourceProfileTest, SubdomainOutsideTheWorldIsRejected) {
+  const world::World w = testing::MakeTestWorld();
+  const source::SourceHistory outside =
+      MakeEdgeHistory({Captured(1, 9, world::kNever, {{0, 60}})});
+  EXPECT_TRUE(LearnSourceProfile(w, outside, 50).ok());
+  const Result<SourceProfile> seen = LearnSourceProfile(w, outside, 60);
+  EXPECT_EQ(seen.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seen.status().message().find("subdomain 9"), std::string::npos)
+      << seen.status().ToString();
 }
 
 }  // namespace

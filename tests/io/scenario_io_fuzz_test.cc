@@ -2,7 +2,9 @@
 // rejected with a Status — never a crash, hang, or leak (the CI sanitizer
 // jobs run this suite under ASan/UBSan/TSan). The mutator is seeded, so a
 // failing corpus entry reproduces from its (seed, iteration) pair printed
-// on failure.
+// on failure. Every input, mutated or directed, must also read exactly as
+// the line-by-line reference reader (reference_scenario_reader.h) reads
+// it: the same status code and message, or the same entities and records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "io/reference_scenario_reader.h"
 #include "io/scenario_io.h"
 #include "testing/test_world.h"
 
@@ -73,14 +76,76 @@ std::string JoinLines(const std::vector<std::string>& lines) {
   return joined;
 }
 
+/// Checks that `got` is what the reference reader made of the same file:
+/// the same error, or the same world entity by entity.
+void ExpectSameWorld(const Result<world::World>& got,
+                     const Result<world::World>& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << context << ": got " << got.status().ToString() << ", reference "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << context;
+    EXPECT_EQ(got.status().message(), want.status().message()) << context;
+    return;
+  }
+  EXPECT_EQ(got->horizon(), want->horizon()) << context;
+  EXPECT_EQ(got->domain().dim1_name(), want->domain().dim1_name()) << context;
+  EXPECT_EQ(got->domain().dim1_size(), want->domain().dim1_size()) << context;
+  EXPECT_EQ(got->domain().dim2_name(), want->domain().dim2_name()) << context;
+  EXPECT_EQ(got->domain().dim2_size(), want->domain().dim2_size()) << context;
+  ASSERT_EQ(got->entity_count(), want->entity_count()) << context;
+  for (std::size_t i = 0; i < want->entity_count(); ++i) {
+    const world::EntityRecord& a = got->entity(i);
+    const world::EntityRecord& b = want->entity(i);
+    EXPECT_EQ(a.id, b.id) << context << " entity " << i;
+    EXPECT_EQ(a.subdomain, b.subdomain) << context << " entity " << i;
+    EXPECT_EQ(a.birth, b.birth) << context << " entity " << i;
+    EXPECT_EQ(a.death, b.death) << context << " entity " << i;
+    EXPECT_EQ(a.update_times, b.update_times) << context << " entity " << i;
+  }
+}
+
+/// As ExpectSameWorld, for source histories: the same error, or the same
+/// spec and the same capture records in the same order.
+void ExpectSameSource(const Result<source::SourceHistory>& got,
+                      const Result<source::SourceHistory>& want,
+                      const std::string& context) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << context << ": got " << got.status().ToString() << ", reference "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << context;
+    EXPECT_EQ(got.status().message(), want.status().message()) << context;
+    return;
+  }
+  EXPECT_EQ(got->name(), want->name()) << context;
+  EXPECT_EQ(got->schedule().period, want->schedule().period) << context;
+  EXPECT_EQ(got->schedule().phase, want->schedule().phase) << context;
+  EXPECT_EQ(got->spec().scope, want->spec().scope) << context;
+  EXPECT_EQ(got->world_entity_count(), want->world_entity_count())
+      << context;
+  ASSERT_EQ(got->records().size(), want->records().size()) << context;
+  for (std::size_t i = 0; i < want->records().size(); ++i) {
+    const source::CaptureRecord& a = got->records()[i];
+    const source::CaptureRecord& b = want->records()[i];
+    EXPECT_EQ(a.entity, b.entity) << context << " record " << i;
+    EXPECT_EQ(a.subdomain, b.subdomain) << context << " record " << i;
+    EXPECT_EQ(a.inserted, b.inserted) << context << " record " << i;
+    EXPECT_EQ(a.deleted, b.deleted) << context << " record " << i;
+    EXPECT_EQ(a.version_captures, b.version_captures)
+        << context << " record " << i;
+  }
+}
+
 /// One seeded random corruption of `text`. Covers the malformed-input
 /// classes called out in DESIGN.md §11: truncation mid-row, non-numeric
 /// fields, duplicated rows (duplicate entity ids), shuffled row order
 /// (out-of-order ids / timestamps), deleted lines, injected garbage bytes,
-/// and full emptying.
+/// stray separators and line breaks, and full emptying.
 std::string Mutate(const std::string& text, Rng& rng) {
   std::vector<std::string> lines = SplitLines(text);
-  switch (rng.NextBounded(7)) {
+  switch (rng.NextBounded(8)) {
     case 0: {  // Truncate at an arbitrary byte (often mid-row).
       if (text.empty()) return text;
       return text.substr(0, rng.NextBounded(text.size()));
@@ -118,13 +183,22 @@ std::string Mutate(const std::string& text, Rng& rng) {
                    "####,garbage,|,::,");
       return JoinLines(lines);
     }
+    case 6: {  // Overwrite one byte with a separator or a line break.
+      std::string mutated = text;
+      if (mutated.empty()) return mutated;
+      constexpr char kSeparators[] = {',', '|', ':', '\r', '\n'};
+      mutated[rng.NextBounded(mutated.size())] =
+          kSeparators[rng.NextBounded(sizeof(kSeparators))];
+      return mutated;
+    }
     default:  // Empty file.
       return "";
   }
 }
 
 /// Property: loaders terminate and return a Status for arbitrary corpus
-/// mutations. Stacked mutations explore compounded corruption.
+/// mutations, and agree with the reference reader on every one. Stacked
+/// mutations explore compounded corruption.
 TEST(ScenarioIoFuzzTest, MutatedWorldFilesNeverCrash) {
   const std::string base = BaseWorldCsv();
   const std::string path = TempPath("fuzz_world.csv");
@@ -142,6 +216,8 @@ TEST(ScenarioIoFuzzTest, MutatedWorldFilesNeverCrash) {
       EXPECT_FALSE(loaded.status().message().empty())
           << "iteration " << i << " produced a blank error";
     }
+    ExpectSameWorld(loaded, ReferenceReadWorldCsv(path),
+                    "iteration " + std::to_string(i));
   }
   // The corpus must actually exercise the error paths: most mutations make
   // the file invalid (a few, like swapping identical lines, are benign).
@@ -166,6 +242,8 @@ TEST(ScenarioIoFuzzTest, MutatedSourceFilesNeverCrash) {
       EXPECT_FALSE(loaded.status().message().empty())
           << "iteration " << i << " produced a blank error";
     }
+    ExpectSameSource(loaded, ReferenceReadSourceHistoryCsv(path),
+                     "iteration " + std::to_string(i));
   }
   EXPECT_GT(rejected, kIterations / 2);
   std::remove(path.c_str());
@@ -240,6 +318,92 @@ TEST(ScenarioIoFuzzTest, EmptyFilesRejected) {
   WriteFile(path, "");
   EXPECT_FALSE(ReadWorldCsv(path).ok());
   EXPECT_FALSE(ReadSourceHistoryCsv(path).ok());
+  std::remove(path.c_str());
+}
+
+// Directed differential corpus: the line and field edge cases where a
+// buffer walk could part from getline + Split. Each input must read the
+// same as the reference, and the expected outcome is pinned besides.
+
+constexpr char kWorldHead[] =
+    "#world,loc,2,cat,2,100\nid,subdomain,birth,death,updates\n";
+constexpr char kSourceHead[] =
+    "#source,s,1,0,10\n#scope,0|1\n"
+    "entity,subdomain,inserted,deleted,captures\n";
+
+struct EdgeCase {
+  const char* name;
+  std::string text;
+  bool ok;
+};
+
+TEST(ScenarioIoFuzzTest, WorldEdgeCasesMatchReference) {
+  const std::string head = kWorldHead;
+  const std::vector<EdgeCase> cases = {
+      {"no trailing newline", head + "0,1,0,,5|9\n1,2,3,50,", true},
+      {"blank lines mid-file", head + "0,1,0,,5\n\n\n1,2,3,,\n\n", true},
+      {"crlf line endings",
+       "#world,loc,2,cat,2,100\r\nid,subdomain,birth,death,updates\r\n"
+       "0,1,0,,5\r\n",
+       false},
+      {"crlf rows only", head + "0,1,0,,5\r\n", false},
+      {"trailing bar in updates", head + "0,1,0,,5|9|\n", false},
+      {"sixth field", head + "0,1,0,,5,7\n", false},
+      {"sixth header field", "#world,loc,2,cat,2,100,7\n", false},
+      {"lone newline", "\n", false},
+      {"header only", "#world,loc,2,cat,2,100\n", false},
+      {"empty update entry", head + "0,1,0,,5||9\n", false},
+      {"plus sign", head + "0,1,0,,+5\n", false},
+      {"integer overflow", head + "0,1,0,,99999999999999999999\n", false},
+      {"negative days", head + "0,1,-20,,-10|-3\n", true},
+  };
+  const std::string path = TempPath("fuzz_edge_world.csv");
+  for (const EdgeCase& edge : cases) {
+    WriteFile(path, edge.text);
+    const Result<world::World> loaded = ReadWorldCsv(path);
+    EXPECT_EQ(loaded.ok(), edge.ok) << edge.name << ": "
+                                    << loaded.status().ToString();
+    ExpectSameWorld(loaded, ReferenceReadWorldCsv(path), edge.name);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ScenarioIoFuzzTest, SourceEdgeCasesMatchReference) {
+  const std::string head = kSourceHead;
+  const std::vector<EdgeCase> cases = {
+      {"no trailing newline", head + "3,0,5,,0:5|1:9\n4,1,6,20,0:6", true},
+      {"blank lines mid-file", head + "3,0,5,,0:5\n\n\n4,1,6,,0:6\n\n", true},
+      {"crlf line endings",
+       "#source,s,1,0,10\r\n#scope,0|1\r\n"
+       "entity,subdomain,inserted,deleted,captures\r\n3,0,5,,0:5\r\n",
+       false},
+      {"crlf rows only", head + "3,0,5,,0:5\r\n", false},
+      {"trailing bar in captures", head + "3,0,5,,0:5|1:9|\n", false},
+      {"trailing bar in scope",
+       "#source,s,1,0,10\n#scope,0|\n"
+       "entity,subdomain,inserted,deleted,captures\n",
+       false},
+      {"empty scope",
+       "#source,s,1,0,10\n#scope,\n"
+       "entity,subdomain,inserted,deleted,captures\n3,0,5,,0:5\n",
+       true},
+      {"sixth field", head + "3,0,5,,0:5,7\n", false},
+      {"capture with extra colon", head + "3,0,5,,0:5:7\n", false},
+      {"capture without colon", head + "3,0,5,,5\n", false},
+      {"capture with empty day", head + "3,0,5,,0:\n", false},
+      {"never inserted row", head + "3,0,9223372036854775807,,\n", true},
+      {"entity out of range", head + "10,0,5,,0:5\n", false},
+      {"missing scope line", "#source,s,1,0,10\n", false},
+      {"negative days", head + "3,0,-4,-1,0:-4|1:-2\n", true},
+  };
+  const std::string path = TempPath("fuzz_edge_source.csv");
+  for (const EdgeCase& edge : cases) {
+    WriteFile(path, edge.text);
+    const Result<source::SourceHistory> loaded = ReadSourceHistoryCsv(path);
+    EXPECT_EQ(loaded.ok(), edge.ok) << edge.name << ": "
+                                    << loaded.status().ToString();
+    ExpectSameSource(loaded, ReferenceReadSourceHistoryCsv(path), edge.name);
+  }
   std::remove(path.c_str());
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
+#include "obs/macros.h"
+#include "obs/metrics.h"
 #include "source/source_simulator.h"
 #include "testing/test_world.h"
 #include "world/world_simulator.h"
@@ -162,6 +165,58 @@ TEST(ScenarioIoTest, EmptyScopeAndNoRecordsRoundTrip) {
   EXPECT_EQ(loaded->schedule().phase, 1);
   std::remove(path.c_str());
 }
+
+#if FRESHSEL_OBS_ACTIVE
+std::uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
+/// The row counters grow by a file's row count once the file has read in
+/// full, blank lines aside, and not at all when a read fails part way.
+TEST(ScenarioIoTest, RowCountersAddEachCompleteFileOnce) {
+  const world::World w = testing::MakeTestWorld();
+  const source::SourceHistory original = testing::MakeTestSource(w);
+  const std::string world_path = TempPath("rows_world.csv");
+  const std::string source_path = TempPath("rows_source.csv");
+  ASSERT_TRUE(WriteWorldCsv(w, world_path).ok());
+  ASSERT_TRUE(WriteSourceHistoryCsv(original, source_path).ok());
+
+  std::uint64_t before = CounterValue("io.world_rows.read");
+  ASSERT_TRUE(ReadWorldCsv(world_path).ok());
+  EXPECT_EQ(CounterValue("io.world_rows.read") - before, w.entity_count());
+  before = CounterValue("io.source_rows.read");
+  ASSERT_TRUE(ReadSourceHistoryCsv(source_path).ok());
+  EXPECT_EQ(CounterValue("io.source_rows.read") - before,
+            original.records().size());
+
+  // Three rows, then a blank line that is no row: a never-inserted record
+  // still counts, as AddRecord accepts it.
+  WriteFile(source_path,
+            "#source,s,1,0,10\n#scope,0\n"
+            "entity,subdomain,inserted,deleted,captures\n"
+            "3,0,5,,0:5\n\n4,0,9223372036854775807,,\n5,0,6,,0:6\n");
+  before = CounterValue("io.source_rows.read");
+  ASSERT_TRUE(ReadSourceHistoryCsv(source_path).ok());
+  EXPECT_EQ(CounterValue("io.source_rows.read") - before, 3u);
+
+  // Failed reads add nothing, not even for the rows before the bad one.
+  WriteFile(world_path,
+            "#world,loc,2,cat,2,100\nid,subdomain,birth,death,updates\n"
+            "0,1,0,,\n1,1,zz,,\n");
+  before = CounterValue("io.world_rows.read");
+  EXPECT_FALSE(ReadWorldCsv(world_path).ok());
+  EXPECT_EQ(CounterValue("io.world_rows.read"), before);
+  WriteFile(source_path,
+            "#source,s,1,0,10\n#scope,0\n"
+            "entity,subdomain,inserted,deleted,captures\n"
+            "3,0,5,,0:5\n3,0,6,,0:6\n");
+  before = CounterValue("io.source_rows.read");
+  EXPECT_FALSE(ReadSourceHistoryCsv(source_path).ok());
+  EXPECT_EQ(CounterValue("io.source_rows.read"), before);
+  std::remove(world_path.c_str());
+  std::remove(source_path.c_str());
+}
+#endif  // FRESHSEL_OBS_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::io
