@@ -9,7 +9,6 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "common/timer.h"
 #include "harness/learned_scenario.h"
 #include "harness/selection_experiment.h"
 #include "selection/budgeted_greedy.h"

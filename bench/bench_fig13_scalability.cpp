@@ -16,6 +16,7 @@
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
 #include "selection/selector.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/blplus_generator.h"
 
 namespace freshsel {
@@ -195,7 +196,8 @@ struct AccelVariant {
   selection::Algorithm algorithm;
   int kappa;
   int restarts;
-  bool lazy;       ///< CELF lazy greedy (vs eager full re-scan).
+  bool lazy;       ///< CELF lazy greedy (vs the eager full re-scan,
+                   ///< reached through testing::ForcedPathOracle).
   bool use_pool;   ///< Shared thread pool for GRASP candidate marginals.
   bool use_cache;  ///< Wrap the oracle in CachedProfitOracle.
   int baseline;    ///< Index of the unaccelerated row to compare, or -1.
@@ -258,14 +260,18 @@ Status PanelC(const workloads::Scenario& bl) {
         selection::ProfitOracle oracle,
         selection::ProfitOracle::Create(&estimator, costs, oracle_config));
 
+    const testing::ForcedPathOracle eager(oracle,
+                                          testing::ForcedPath::kEager);
     std::vector<double> times(variants.size(), 0.0);
     for (std::size_t i = 0; i < variants.size(); ++i) {
       const AccelVariant& v = variants[i];
+      const selection::ProfitFunction& base =
+          v.lazy ? static_cast<const selection::ProfitFunction&>(oracle)
+                 : eager;
       selection::SelectorConfig config;
       config.algorithm = v.algorithm;
       config.grasp_kappa = v.kappa;
       config.grasp_restarts = v.restarts;
-      config.lazy_greedy = v.lazy;
       if (v.use_pool) config.pool = &ThreadPool::Shared();
       oracle.ResetCallCount();
       obs::ScopedLatencyTimer timer(
@@ -273,13 +279,13 @@ Status PanelC(const workloads::Scenario& bl) {
               "bench.fig13.accel.seconds"));
       selection::SelectionResult result;
       if (v.use_cache) {
-        selection::CachedProfitOracle cached(oracle);
+        selection::CachedProfitOracle cached(base);
         FRESHSEL_ASSIGN_OR_RETURN(result,
                                   selection::SelectSources(cached, config));
         result.cache_hit_rate = cached.stats().hit_rate();
       } else {
         FRESHSEL_ASSIGN_OR_RETURN(result,
-                                  selection::SelectSources(oracle, config));
+                                  selection::SelectSources(base, config));
       }
       times[i] = timer.ElapsedMillis();
       const double speedup =

@@ -24,6 +24,7 @@
 #include "obs/timer.h"
 #include "selection/algorithms.h"
 #include "selection/cost.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/bl_generator.h"
 
 namespace freshsel {
@@ -90,14 +91,28 @@ struct TimedRun {
   double best_seconds = std::numeric_limits<double>::infinity();
 };
 
+/// The pipeline oracle on the path `lazy` x `incremental`: the default
+/// CELF + incremental path itself, or a reference path reached through
+/// testing::ForcedPathOracle.
+std::unique_ptr<testing::ForcedPathOracle> PathOracle(const Pipeline& p,
+                                                      bool lazy,
+                                                      bool incremental) {
+  if (lazy && incremental) return nullptr;
+  return std::make_unique<testing::ForcedPathOracle>(
+      *p.oracle, lazy ? testing::ForcedPath::kPlain
+                      : (incremental ? testing::ForcedPath::kEager
+                                     : testing::ForcedPath::kEagerPlain));
+}
+
 TimedRun Run(const Pipeline& p, bool lazy, bool incremental) {
-  selection::GreedyOptions options;
-  options.lazy = lazy;
-  options.incremental = incremental;
+  const auto forced = PathOracle(p, lazy, incremental);
+  const selection::ProfitFunction& oracle =
+      forced ? *forced : static_cast<const selection::ProfitFunction&>(
+                             *p.oracle);
   TimedRun run;
   for (int rep = 0; rep < kReps; ++rep) {
     obs::WallTimer timer;
-    run.result = selection::Greedy(*p.oracle, p.matroid.get(), options);
+    run.result = selection::Greedy(oracle, p.matroid.get());
     run.best_seconds = std::min(run.best_seconds, timer.ElapsedSeconds());
   }
   return run;
@@ -108,11 +123,15 @@ TimedRun Run(const Pipeline& p, bool lazy, bool incremental) {
 /// regime where delta evaluation pays off most - this is the headline
 /// speedup row of BENCH_estimation.json.
 TimedRun RunHillClimb(const Pipeline& p, bool incremental) {
-  selection::GraspParams params{1, 1, 42, nullptr, incremental};
+  const auto forced = PathOracle(p, true, incremental);
+  const selection::ProfitFunction& oracle =
+      forced ? *forced : static_cast<const selection::ProfitFunction&>(
+                             *p.oracle);
+  const selection::GraspParams params{1, 1, 42, nullptr};
   TimedRun run;
   for (int rep = 0; rep < kReps; ++rep) {
     obs::WallTimer timer;
-    run.result = selection::Grasp(*p.oracle, params, p.matroid.get());
+    run.result = selection::Grasp(oracle, params, p.matroid.get());
     run.best_seconds = std::min(run.best_seconds, timer.ElapsedSeconds());
   }
   return run;

@@ -28,6 +28,7 @@
 #include "obs/timer.h"
 #include "selection/algorithms.h"
 #include "selection/cost.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/bl_generator.h"
 
 namespace freshsel {
@@ -366,11 +367,13 @@ int main(int argc, char** argv) {
 
   // Exact baseline for the stochastic panel: the eager scan is the
   // canonical "exact greedy" evaluation count (n per round); its lazy
-  // variant is reported for context but not the reduction base.
+  // variant is reported for context but not the reduction base. The eager
+  // scan is reached by hiding the oracle's submodularity.
   const freshsel::selection::SelectionResult exact =
       freshsel::selection::Greedy(
-          *pipeline.oracle, pipeline.matroid.get(),
-          freshsel::selection::GreedyOptions{/*lazy=*/false});
+          freshsel::testing::ForcedPathOracle(
+              *pipeline.oracle, freshsel::testing::ForcedPath::kEager),
+          pipeline.matroid.get());
   const freshsel::selection::SelectionResult lazy_exact =
       freshsel::selection::Greedy(*pipeline.oracle, pipeline.matroid.get());
   std::printf(

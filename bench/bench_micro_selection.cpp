@@ -16,6 +16,7 @@
 #include "selection/algorithms.h"
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/bl_generator.h"
 
 namespace freshsel::selection {
@@ -53,6 +54,7 @@ class CoverageFunction : public ProfitFunction {
   }
 
   std::size_t universe_size() const override { return covers_.size(); }
+  bool submodular() const override { return true; }
 
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
@@ -96,17 +98,20 @@ void BM_GreedyVsUniverse(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyVsUniverse)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-// Lazy (CELF, the default) vs eager greedy at matched instances: identical
-// selections, far fewer full oracle evaluations. `calls` counts the oracle
-// evaluations actually made per run and `calls_saved` the evaluations the
-// CELF queue skipped; eager spends calls + calls_saved. The n=100 rows are
-// the acceptance gate: lazy must evaluate >= 3x fewer than eager.
+// Lazy (CELF, the default for a submodular oracle) vs eager greedy (the
+// same oracle behind testing::ForcedPathOracle) at matched instances:
+// identical selections, far fewer full oracle evaluations. `calls` counts
+// the oracle evaluations actually made per run and `calls_saved` the
+// evaluations the CELF queue skipped; eager spends calls + calls_saved. The
+// n=100 rows are the acceptance gate: lazy must evaluate >= 3x fewer than
+// eager.
 void BM_GreedyEager(benchmark::State& state) {
   auto f = CoverageFunction::Random(
       static_cast<std::size_t>(state.range(0)), 64, 11);
+  const testing::ForcedPathOracle eager(f, testing::ForcedPath::kEager);
   SelectionResult result;
   for (auto _ : state) {
-    result = Greedy(f, nullptr, GreedyOptions{false});
+    result = Greedy(eager);
     benchmark::DoNotOptimize(result);
   }
   state.counters["calls"] = static_cast<double>(result.oracle_calls);
@@ -119,7 +124,7 @@ void BM_GreedyLazy(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)), 64, 11);
   SelectionResult result;
   for (auto _ : state) {
-    result = Greedy(f, nullptr, GreedyOptions{true});
+    result = Greedy(f);
     benchmark::DoNotOptimize(result);
   }
   state.counters["calls"] = static_cast<double>(result.oracle_calls);
@@ -143,7 +148,8 @@ void BM_GreedyStochastic(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const double eps = static_cast<double>(state.range(1)) / 100.0;
   auto f = CoverageFunction::Random(n, 64, 11);
-  const SelectionResult exact = Greedy(f, nullptr, GreedyOptions{false});
+  const SelectionResult exact =
+      Greedy(testing::ForcedPathOracle(f, testing::ForcedPath::kEager));
   GreedyOptions options;
   options.stochastic = true;
   options.stochastic_epsilon = eps;
@@ -248,14 +254,25 @@ struct ScenarioOracleFixture {
   }
 };
 
+/// The fixture oracle on the path `lazy` x `incremental` picks: the default
+/// path itself, or a reference path through testing::ForcedPathOracle.
+std::unique_ptr<testing::ForcedPathOracle> PathOracle(
+    const ProfitFunction& oracle, bool lazy, bool incremental) {
+  if (lazy && incremental) return nullptr;
+  return std::make_unique<testing::ForcedPathOracle>(
+      oracle, lazy ? testing::ForcedPath::kPlain
+                   : (incremental ? testing::ForcedPath::kEager
+                                  : testing::ForcedPath::kEagerPlain));
+}
+
 void BM_ScenarioGreedyIncremental(benchmark::State& state) {
   const ScenarioOracleFixture& fixture = ScenarioOracleFixture::Get();
-  GreedyOptions options;
-  options.lazy = state.range(0) != 0;
-  options.incremental = true;
+  const auto forced = PathOracle(*fixture.oracle, state.range(0) != 0, true);
+  const ProfitFunction& oracle =
+      forced ? *forced : static_cast<const ProfitFunction&>(*fixture.oracle);
   SelectionResult result;
   for (auto _ : state) {
-    result = Greedy(*fixture.oracle, fixture.matroid.get(), options);
+    result = Greedy(oracle, fixture.matroid.get());
     benchmark::DoNotOptimize(result);
   }
   state.counters["selected"] = static_cast<double>(result.selected.size());
@@ -270,12 +287,10 @@ BENCHMARK(BM_ScenarioGreedyIncremental)
 
 void BM_ScenarioGreedyIncrementalOff(benchmark::State& state) {
   const ScenarioOracleFixture& fixture = ScenarioOracleFixture::Get();
-  GreedyOptions options;
-  options.lazy = state.range(0) != 0;
-  options.incremental = false;
+  const auto forced = PathOracle(*fixture.oracle, state.range(0) != 0, false);
   SelectionResult result;
   for (auto _ : state) {
-    result = Greedy(*fixture.oracle, fixture.matroid.get(), options);
+    result = Greedy(*forced, fixture.matroid.get());
     benchmark::DoNotOptimize(result);
   }
   state.counters["selected"] = static_cast<double>(result.selected.size());
@@ -295,7 +310,8 @@ BENCHMARK(BM_ScenarioGreedyIncrementalOff)
 void BM_ScenarioGreedyStochastic(benchmark::State& state) {
   const ScenarioOracleFixture& fixture = ScenarioOracleFixture::Get();
   static const SelectionResult exact = Greedy(
-      *fixture.oracle, fixture.matroid.get(), GreedyOptions{false});
+      testing::ForcedPathOracle(*fixture.oracle, testing::ForcedPath::kEager),
+      fixture.matroid.get());
   GreedyOptions options;
   options.stochastic = true;
   options.stochastic_epsilon = static_cast<double>(state.range(0)) / 100.0;
@@ -327,10 +343,14 @@ BENCHMARK(BM_ScenarioGreedyStochastic)
 // recorded in BENCH_estimation.json).
 void BM_ScenarioHillClimbIncremental(benchmark::State& state) {
   const ScenarioOracleFixture& fixture = ScenarioOracleFixture::Get();
-  GraspParams params{1, 1, 42, nullptr, state.range(0) != 0};
+  const auto forced =
+      PathOracle(*fixture.oracle, true, state.range(0) != 0);
+  const ProfitFunction& oracle =
+      forced ? *forced : static_cast<const ProfitFunction&>(*fixture.oracle);
+  const GraspParams params{1, 1, 42, nullptr};
   SelectionResult result;
   for (auto _ : state) {
-    result = Grasp(*fixture.oracle, params, fixture.matroid.get());
+    result = Grasp(oracle, params, fixture.matroid.get());
     benchmark::DoNotOptimize(result);
   }
   state.counters["selected"] = static_cast<double>(result.selected.size());

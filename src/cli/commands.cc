@@ -351,9 +351,6 @@ Result<serve::QueryParams> ReadQueryParams(const ArgMap& args) {
   }
   FRESHSEL_ASSIGN_OR_RETURN(params.fast_math,
                             args.GetBool("fast-math-kernels", false));
-  FRESHSEL_ASSIGN_OR_RETURN(params.lazy, args.GetBool("lazy", true));
-  FRESHSEL_ASSIGN_OR_RETURN(params.incremental,
-                            args.GetBool("incremental", true));
   const std::string roster_flag = args.GetString("roster", "");
   if (!roster_flag.empty()) {
     params.roster = Split(roster_flag, ',');
@@ -439,9 +436,7 @@ int RunMain(int argc, const char* const* argv, std::ostream& out,
         << "                --stochastic (sampled greedy rounds, "
            "--stochastic-epsilon E, seeded by --seed)\n"
         << "                --fast-math-kernels (SIMD reductions in the "
-           "estimator; small bounded deviation)]\n"
-        << "                --lazy=false (plain greedy scans) "
-           "--incremental=false (full re-evaluation)\n"
+           "estimator; small bounded deviation)\n"
         << "                --roster s1,s2,... (restrict selection to named "
            "sources)]\n"
         << "  serve        --dir DIR [--socket PATH | --host H --port N] "

@@ -9,8 +9,7 @@ namespace freshsel::obs {
 
 /// Monotonic wall-clock stopwatch (Table 2/3, Figure 13 runtime
 /// measurements). Lives in the obs layer so that all timing flows through
-/// `obs::NowNs`; `common/timer.h` keeps the historical `freshsel::WallTimer`
-/// alias for existing call sites.
+/// `obs::NowNs`.
 class WallTimer {
  public:
   WallTimer() : start_ns_(NowNs()) {}

@@ -20,9 +20,9 @@ struct SelectionResult {
   std::vector<SourceHandle> selected;  ///< Sorted ascending.
   double profit = 0.0;
   std::uint64_t oracle_calls = 0;  ///< Oracle calls made by this run.
-  /// Full candidate evaluations the lazy (CELF) paths skipped relative to
-  /// a plain greedy that re-scores every feasible candidate each round.
-  /// Zero for algorithms without a lazy path.
+  /// Full candidate evaluations the CELF and stochastic rounds skipped
+  /// relative to re-scoring every feasible (or sampled) candidate each
+  /// round. Zero for full scans and the local searches.
   std::uint64_t oracle_calls_saved = 0;
   /// Hit rate of the `CachedProfitOracle` the run was given over the whole
   /// process so far, filled by the algorithms themselves when the oracle is
@@ -30,32 +30,20 @@ struct SelectionResult {
   double cache_hit_rate = 0.0;
 };
 
-/// Tuning knobs for `Greedy`.
+/// Tuning knobs for `Greedy` (and `BudgetedGreedy`, which shares them).
+/// Whether rounds use CELF or a full re-scan, and whether candidates are
+/// scored incrementally, is decided from the oracle (`submodular()`,
+/// `supports_incremental()`), never by an option: see greedy_rounds.h.
 struct GreedyOptions {
-  /// Use the lazy (CELF) evaluation order: keep candidates in a priority
-  /// queue of stale upper-bound marginal gains and re-score only the top
-  /// until it stays on top. Exact for submodular profits (the stale gain
-  /// of a grown set only shrinks, so a re-scored top is the true argmax)
-  /// and identical to the eager scan's argmax/lowest-handle tie-breaks.
-  /// Set false to force the eager full re-scan as an exact-equivalence
-  /// fallback for oracles that are not submodular.
-  bool lazy = true;
-  /// Score candidates through the oracle's incremental context
-  /// (`MarginalEvalContext`) when `supports_incremental()` is true:
-  /// O(1)-in-|S| delta evaluations instead of full set re-evaluations,
-  /// with identical selections. Ignored (plain `Profit` calls) for
-  /// oracles without incremental support.
-  bool incremental = true;
   /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015 - "lazier than
   /// lazy greedy"): each round scores a uniform random sample of
   /// ceil((n/k) * ln(1/stochastic_epsilon)) feasible candidates instead of
   /// all of them, giving a (1 - 1/e - epsilon) * OPT expected guarantee
   /// for monotone submodular profits at O(n * ln(1/epsilon)) total
   /// evaluations. Sampling draws from a `common/random.h` stream seeded
-  /// with `stochastic_seed`, so runs are deterministic per seed (and
-  /// identical across the `lazy` / `incremental` settings, which only
-  /// change how the sampled pool is scored). Composes with `lazy` (CELF
-  /// stale-bound skipping within the sampled pool) and `incremental`.
+  /// with `stochastic_seed`, so runs are deterministic per seed. For a
+  /// submodular oracle, sampled candidates whose stale score cannot win
+  /// are skipped without changing the selection.
   bool stochastic = false;
   /// Guarantee slack: smaller epsilon = larger per-round samples = closer
   /// to the exact greedy. Clamped to (0, 1).
@@ -81,8 +69,9 @@ struct GreedyOptions {
 /// repeatedly add the feasible source with the largest profit improvement
 /// until no addition improves the profit by more than
 /// `internal::kImprovementEps`. `matroid` (optional) constrains
-/// feasibility. By default candidates are evaluated in the lazy CELF order
-/// (Leskovec et al., KDD 2007); see `GreedyOptions::lazy`.
+/// feasibility. For a submodular oracle candidates are evaluated in the
+/// lazy CELF order (Leskovec et al., KDD 2007), which picks the same
+/// sources; otherwise every round re-scores every candidate.
 SelectionResult Greedy(const ProfitFunction& oracle,
                        const PartitionMatroid* matroid = nullptr,
                        const GreedyOptions& options = {});
@@ -132,11 +121,6 @@ struct GraspParams {
   int restarts = 1;
   std::uint64_t seed = 42;
   ThreadPool* pool = nullptr;  ///< Optional; not owned.
-  /// Evaluate candidate marginals through the oracle's incremental
-  /// context when supported (thread-local contexts per score chunk, so
-  /// the parallel path stays bit-identical to the serial one). Ignored
-  /// for oracles without incremental support.
-  bool incremental = true;
   /// Optional per-run audit trail across every restart (construction
   /// rounds and local-search moves, tagged with the restart index); see
   /// GreedyOptions::decision_log.
@@ -167,14 +151,16 @@ std::size_t DeriveSampleK(std::size_t n, const PartitionMatroid* matroid);
 /// restricted candidate list of the `kappa` best positive-marginal
 /// candidates, and add one of them uniformly at random. Makes exactly
 /// 1 + sum over rounds of (#feasible unselected candidates) oracle calls.
-/// `log`/`restart` wire the decision log (audit records tagged with the
-/// restart index); null `log` records nothing.
+/// Candidates are scored through the oracle's incremental context when it
+/// supports one (thread-local contexts per score chunk, so the parallel
+/// path stays bit-identical to the serial one). `log`/`restart` wire the
+/// decision log (audit records tagged with the restart index); null `log`
+/// records nothing.
 std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
                                          int kappa,
                                          const PartitionMatroid* matroid,
                                          Rng& rng,
                                          ThreadPool* pool = nullptr,
-                                         bool incremental = false,
                                          obs::DecisionLog* log = nullptr,
                                          std::uint32_t restart = 0);
 
@@ -185,7 +171,6 @@ double GraspLocalSearch(const ProfitFunction& oracle,
                         const PartitionMatroid* matroid,
                         std::vector<SourceHandle>& selected,
                         ThreadPool* pool = nullptr,
-                        bool incremental = false,
                         obs::DecisionLog* log = nullptr,
                         std::uint32_t restart = 0);
 

@@ -1,357 +1,16 @@
 #include "selection/budgeted_greedy.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "obs/decision_log.h"
 #include "obs/macros.h"
 #include "selection/audit.h"
-#include "selection/set_util.h"
+#include "selection/greedy_rounds.h"
 
 namespace freshsel::selection {
-
-namespace {
-
-constexpr double kBudgetSlack = 1e-12;
-
-/// Ratio of a marginal gain to an element cost; zero-cost elements with
-/// positive gain are always worth taking.
-double Ratio(double marginal, double cost) {
-  return cost > internal::kImprovementEps
-             ? marginal / cost
-             : std::numeric_limits<double>::infinity();
-}
-
-std::uint64_t CountAffordable(const std::vector<double>& singleton_costs,
-                              const std::vector<SourceHandle>& selected,
-                              double current_cost, double budget) {
-  std::uint64_t affordable = 0;
-  for (std::size_t e = 0; e < singleton_costs.size(); ++e) {
-    const SourceHandle handle = static_cast<SourceHandle>(e);
-    if (internal::Contains(selected, handle)) continue;
-    if (current_cost + singleton_costs[e] > budget + kBudgetSlack) continue;
-    ++affordable;
-  }
-  return affordable;
-}
-
-struct Phase1Result {
-  std::vector<SourceHandle> selected;
-  double gain = 0.0;
-  std::uint64_t saved = 0;
-};
-
-/// Eager cost-benefit greedy: re-score every affordable candidate's
-/// marginal each round and take the best ratio (strict >, ties keep the
-/// lowest handle).
-Phase1Result EagerPhase1(const GainCostFunction& oracle,
-                         const std::vector<double>& singleton_costs,
-                         double budget, MarginalEvalContext* ctx,
-                         obs::DecisionLog* log) {
-  const std::size_t n = oracle.universe_size();
-  RoundAudit audit(log, oracle);
-  Phase1Result out;
-  if (ctx != nullptr) ctx->Reset(out.selected);
-  out.gain = ctx != nullptr ? ctx->CurrentGain() : oracle.Gain(out.selected);
-  double current_cost = 0.0;
-  std::uint32_t round = 0;
-  while (true) {
-    audit.BeginRound();
-    double best_ratio = 0.0;
-    SourceHandle best_element = 0;
-    double best_gain = out.gain;
-    bool found = false;
-    std::uint64_t pool = 0;
-    RunnerUpTracker tracker;
-    for (std::size_t e = 0; e < n; ++e) {
-      const SourceHandle handle = static_cast<SourceHandle>(e);
-      if (internal::Contains(out.selected, handle)) continue;
-      if (current_cost + singleton_costs[e] > budget + kBudgetSlack) {
-        continue;
-      }
-      ++pool;
-      const double gain =
-          ctx != nullptr
-              ? ctx->GainWith(handle)
-              : oracle.Gain(internal::WithAdded(out.selected, handle));
-      const double marginal = gain - out.gain;
-      if (marginal <= internal::kImprovementEps) continue;
-      const double ratio = Ratio(marginal, singleton_costs[e]);
-      if (audit.active()) tracker.Observe(handle, ratio);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_element = handle;
-        best_gain = gain;
-        found = true;
-      }
-    }
-    if (!found) break;
-    if (audit.active()) {
-      obs::DecisionRecord record;
-      record.round = round;
-      record.kind = obs::DecisionKind::kAdd;
-      record.chosen = best_element;
-      record.gain = best_gain - out.gain;
-      record.profit = best_gain;
-      record.score = best_ratio;
-      record.pool_size = pool;
-      tracker.FillRunnerUp(best_ratio, &record);
-      audit.Commit(record);
-    }
-    current_cost += singleton_costs[best_element];
-    out.selected = internal::WithAdded(out.selected, best_element);
-    if (ctx != nullptr) ctx->Reset(out.selected);
-    out.gain = best_gain;
-    ++round;
-  }
-  return out;
-}
-
-/// Lazy (CELF) cost-benefit greedy: stale marginal/cost ratios are upper
-/// bounds for submodular gains (the cost is fixed per element), so only
-/// queue tops need re-scoring. Selections match EagerPhase1 bit for bit on
-/// submodular gains (same ratio values, same lowest-handle tie-break).
-Phase1Result LazyPhase1(const GainCostFunction& oracle,
-                        const std::vector<double>& singleton_costs,
-                        double budget, MarginalEvalContext* ctx,
-                        obs::DecisionLog* log) {
-  const std::size_t n = oracle.universe_size();
-  RoundAudit audit(log, oracle);
-  Phase1Result out;
-  if (ctx != nullptr) ctx->Reset(out.selected);
-  out.gain = ctx != nullptr ? ctx->CurrentGain() : oracle.Gain(out.selected);
-  double current_cost = 0.0;
-  // Round 0 owns the seeding evaluations, mirroring LazyGreedy.
-  audit.BeginRound();
-
-  struct Entry {
-    double ratio;
-    double marginal;
-    double gain;          // Gain of selected + {handle} at evaluation time.
-    SourceHandle handle;
-    std::uint32_t round;
-  };
-  struct StalerFirst {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.ratio != b.ratio) return a.ratio < b.ratio;
-      return a.handle > b.handle;  // Ties pop the lowest handle first.
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, StalerFirst> queue;
-
-  for (std::size_t e = 0; e < n; ++e) {
-    const SourceHandle handle = static_cast<SourceHandle>(e);
-    if (singleton_costs[e] > budget + kBudgetSlack) continue;
-    const double gain =
-        ctx != nullptr ? ctx->GainWith(handle) : oracle.Gain({handle});
-    const double marginal = gain - out.gain;
-    // Submodularity: a marginal below the improvement threshold never
-    // recovers, so such elements are dropped for good.
-    if (marginal <= internal::kImprovementEps) continue;
-    queue.push({Ratio(marginal, singleton_costs[e]), marginal, gain, handle,
-                0});
-  }
-
-  for (std::uint32_t round = 0; !queue.empty();) {
-    const Entry top = queue.top();
-    queue.pop();
-    // Spent budget only grows: once unaffordable, always unaffordable.
-    if (current_cost + singleton_costs[top.handle] > budget + kBudgetSlack) {
-      continue;
-    }
-    if (top.round == round) {
-      if (audit.active()) {
-        obs::DecisionRecord record;
-        record.round = round;
-        record.kind = obs::DecisionKind::kAdd;
-        record.chosen = top.handle;
-        record.gain = top.marginal;
-        record.profit = top.gain;
-        record.score = top.ratio;
-        // The pool still contains the winner (not yet selected).
-        record.pool_size = CountAffordable(singleton_costs, out.selected,
-                                           current_cost, budget);
-        if (!queue.empty()) {
-          // The next entry's stale ratio is an upper bound - the tightest
-          // runner-up information the lazy path has without spending the
-          // eval it just saved.
-          const Entry& next = queue.top();
-          record.has_runner_up = true;
-          record.runner_up = next.handle;
-          record.runner_up_score = next.ratio;
-          record.margin = top.ratio - next.ratio;
-        }
-        audit.Commit(record);
-        audit.BeginRound();
-      }
-      current_cost += singleton_costs[top.handle];
-      out.selected = internal::WithAdded(out.selected, top.handle);
-      if (ctx != nullptr) ctx->Reset(out.selected);
-      out.gain = top.gain;
-      ++round;
-      out.saved += CountAffordable(singleton_costs, out.selected,
-                                   current_cost, budget);
-      continue;
-    }
-    const double gain =
-        ctx != nullptr
-            ? ctx->GainWith(top.handle)
-            : oracle.Gain(internal::WithAdded(out.selected, top.handle));
-    --out.saved;  // One of this round's budgeted re-scores actually ran.
-    const double marginal = gain - out.gain;
-    if (marginal <= internal::kImprovementEps) continue;
-    queue.push({Ratio(marginal, singleton_costs[top.handle]), marginal, gain,
-                top.handle, round});
-  }
-  return out;
-}
-
-/// Stochastic cost-benefit greedy (see GreedyOptions::stochastic): each
-/// round samples the affordable unselected candidates uniformly and adds
-/// the sample's best marginal/cost ratio. The sampling stream is consumed
-/// identically regardless of `lazy` / `incremental`, and the accepted
-/// element is always freshly scored, so selections depend on the seed
-/// alone. With `lazy`, stale ratios persist across rounds (submodular
-/// marginals shrink, costs are fixed, so a stale ratio is an upper bound)
-/// and candidates whose bound cannot beat the round's best fresh ratio
-/// are skipped, with the same tie-break guard as StochasticGreedy.
-Phase1Result StochasticPhase1(const GainCostFunction& oracle,
-                              const std::vector<double>& singleton_costs,
-                              double budget, MarginalEvalContext* ctx,
-                              const BudgetedGreedyOptions& options,
-                              obs::DecisionLog* log) {
-  const std::size_t n = oracle.universe_size();
-  RoundAudit audit(log, oracle);
-  Phase1Result out;
-  if (ctx != nullptr) ctx->Reset(out.selected);
-  out.gain = ctx != nullptr ? ctx->CurrentGain() : oracle.Gain(out.selected);
-  double current_cost = 0.0;
-  std::uint32_t round = 0;
-
-  const std::size_t k =
-      options.stochastic_k > 0 ? options.stochastic_k
-                               : std::max<std::size_t>(n, 1);
-  const std::size_t sample_size =
-      internal::StochasticSampleSize(n, k, options.stochastic_epsilon);
-  Rng rng(options.stochastic_seed);
-
-  std::vector<double> stale_ratio;
-  if (options.lazy) {
-    stale_ratio.assign(n, std::numeric_limits<double>::infinity());
-  }
-
-  std::vector<SourceHandle> affordable;
-  std::vector<SourceHandle> sampled;
-  // (handle, ratio) pairs actually scored this round, audit only: the
-  // runner-up is re-derived with the acceptance loop's own tie preference
-  // (highest ratio, then lowest handle) rather than first-seen order.
-  std::vector<std::pair<SourceHandle, double>> scored;
-  while (true) {
-    audit.BeginRound();
-    affordable.clear();
-    for (std::size_t e = 0; e < n; ++e) {
-      const SourceHandle handle = static_cast<SourceHandle>(e);
-      if (internal::Contains(out.selected, handle)) continue;
-      if (current_cost + singleton_costs[e] > budget + kBudgetSlack) continue;
-      affordable.push_back(handle);
-    }
-    if (affordable.empty()) break;
-
-    sampled.clear();
-    if (sample_size >= affordable.size()) {
-      sampled = affordable;
-    } else {
-      std::vector<std::size_t> idx =
-          rng.SampleWithoutReplacement(affordable.size(), sample_size);
-      std::sort(idx.begin(), idx.end());
-      for (std::size_t i : idx) sampled.push_back(affordable[i]);
-    }
-    if (options.lazy) {
-      std::sort(sampled.begin(), sampled.end(),
-                [&stale_ratio](SourceHandle a, SourceHandle b) {
-                  if (stale_ratio[a] != stale_ratio[b]) {
-                    return stale_ratio[a] > stale_ratio[b];
-                  }
-                  return a < b;
-                });
-    }
-
-    double best_ratio = 0.0;
-    double best_gain = out.gain;
-    SourceHandle best_element = 0;
-    bool found = false;
-    scored.clear();
-    for (SourceHandle handle : sampled) {
-      if (options.lazy && found &&
-          (stale_ratio[handle] < best_ratio ||
-           (stale_ratio[handle] == best_ratio && handle > best_element))) {
-        ++out.saved;
-        continue;
-      }
-      const double gain =
-          ctx != nullptr
-              ? ctx->GainWith(handle)
-              : oracle.Gain(internal::WithAdded(out.selected, handle));
-      const double marginal = gain - out.gain;
-      const double ratio = Ratio(marginal, singleton_costs[handle]);
-      if (options.lazy) stale_ratio[handle] = ratio;
-      if (marginal <= internal::kImprovementEps) continue;
-      if (audit.active()) scored.emplace_back(handle, ratio);
-      if (!found || ratio > best_ratio ||
-          (ratio == best_ratio && handle < best_element)) {
-        best_ratio = ratio;
-        best_gain = gain;
-        best_element = handle;
-        found = true;
-      }
-    }
-    if (!found) break;
-    if (audit.active()) {
-      obs::DecisionRecord record;
-      record.round = round;
-      record.kind = obs::DecisionKind::kAdd;
-      record.chosen = best_element;
-      record.gain = best_gain - out.gain;
-      record.profit = best_gain;
-      record.score = best_ratio;
-      record.pool_size = affordable.size();
-      record.sample_size = sampled.size();
-      bool has_runner = false;
-      SourceHandle runner = 0;
-      double runner_ratio = 0.0;
-      for (const auto& [handle, ratio] : scored) {
-        if (handle == best_element) continue;
-        if (!has_runner || ratio > runner_ratio ||
-            (ratio == runner_ratio && handle < runner)) {
-          has_runner = true;
-          runner = handle;
-          runner_ratio = ratio;
-        }
-      }
-      if (has_runner) {
-        record.has_runner_up = true;
-        record.runner_up = runner;
-        record.runner_up_score = runner_ratio;
-        record.margin = best_ratio - runner_ratio;
-      }
-      audit.Commit(record);
-    }
-    current_cost += singleton_costs[best_element];
-    out.selected = internal::WithAdded(out.selected, best_element);
-    if (ctx != nullptr) ctx->Reset(out.selected);
-    out.gain = best_gain;
-    ++round;
-  }
-  return out;
-}
-
-}  // namespace
 
 SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
                                const BudgetedGreedyOptions& options) {
@@ -367,44 +26,26 @@ SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
     singleton_costs[e] = oracle.Cost({static_cast<SourceHandle>(e)});
   }
 
-  std::unique_ptr<MarginalEvalContext> ctx;
-  if (options.incremental && oracle.supports_incremental()) {
-    ctx = oracle.MakeContext();
-  }
-
-  RoundAudit audit(options.decision_log, oracle);
-  if (audit.active() && options.decision_log->algorithm().empty()) {
-    options.decision_log->set_algorithm(
-        options.stochastic ? "budgeted/stochastic"
-                           : (options.lazy ? "budgeted/lazy"
-                                           : "budgeted/eager"));
-  }
-
   // Phase 1: cost-benefit greedy.
-  Phase1Result phase1 =
-      options.stochastic
-          ? StochasticPhase1(oracle, singleton_costs, budget, ctx.get(),
-                             options, options.decision_log)
-          : (options.lazy
-                 ? LazyPhase1(oracle, singleton_costs, budget, ctx.get(),
-                              options.decision_log)
-                 : EagerPhase1(oracle, singleton_costs, budget, ctx.get(),
-                               options.decision_log));
+  internal::Rounds phase1 =
+      internal::CostBenefitRounds(oracle, singleton_costs, options);
   FRESHSEL_OBS_COUNT("selection.budgeted.phase1_selected",
                      phase1.selected.size());
 
   // Phase 2: the best affordable singleton can beat the ratio greedy when
   // one expensive element dominates. Singleton gains are delta
   // evaluations from the empty set when the context is available.
+  RoundAudit audit(options.decision_log, oracle);
   audit.BeginRound();
-  if (ctx != nullptr) ctx->Reset({});
+  std::unique_ptr<MarginalEvalContext> ctx;
+  if (oracle.supports_incremental()) ctx = oracle.MakeContext();
   double best_single_gain = -1.0;
   SourceHandle best_single = 0;
   std::uint64_t affordable_singletons = 0;
   RunnerUpTracker tracker;
   for (std::size_t e = 0; e < n; ++e) {
     const SourceHandle handle = static_cast<SourceHandle>(e);
-    if (singleton_costs[e] > budget + kBudgetSlack) continue;
+    if (singleton_costs[e] > budget + internal::kBudgetSlack) continue;
     ++affordable_singletons;
     const double gain =
         ctx != nullptr ? ctx->GainWith(handle) : oracle.Gain({handle});
@@ -416,7 +57,7 @@ SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
   }
 
   SelectionResult result;
-  if (best_single_gain > phase1.gain) {
+  if (best_single_gain > phase1.value) {
     FRESHSEL_OBS_COUNT("selection.budgeted.singleton_wins", 1);
     if (audit.active()) {
       // The Khuller-Moss-Naor override replaces the whole phase-1 run, so

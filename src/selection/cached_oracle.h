@@ -64,6 +64,10 @@ class CachedProfitOracle : public GainCostFunction {
   double budget() const override;
   bool thread_safe() const override { return base_->thread_safe(); }
 
+  /// Forwards the wrapped oracle's submodularity: memoizing changes no
+  /// value, so the serve path keeps CELF for submodular profits.
+  bool submodular() const override { return base_->submodular(); }
+
   /// Forwards the wrapped oracle's incremental support.
   bool supports_incremental() const override {
     return base_->supports_incremental();

@@ -13,8 +13,8 @@ enum class QualityMetric {
   kLocalFreshness,
   /// alpha * coverage + (1 - alpha) * global freshness: a non-negative
   /// linear combination of the two submodular estimates, so the Section 5
-  /// guarantees still apply - unlike accuracy or local freshness, which
-  /// force the GRASP fallback.
+  /// guarantees still apply - unlike accuracy or local freshness (see
+  /// ProfitOracle::submodular).
   kCoverageFreshnessMix,
 };
 

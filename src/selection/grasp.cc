@@ -30,22 +30,21 @@ bool UseParallel(const ProfitFunction& oracle, ThreadPool* pool) {
 /// when allowed. Results land in index order, so downstream reductions are
 /// independent of the schedule.
 ///
-/// With `incremental` set (callers pre-check supports_incremental), each
-/// chunk builds a thread-local context rooted at `selected` and scores its
-/// candidates through ProfitWith. Every candidate value is the rooted
+/// When the oracle supports incremental contexts, each chunk builds a
+/// thread-local context rooted at `selected` and scores its candidates
+/// through ProfitWith. Every candidate value is the rooted
 /// product times one factor regardless of chunk boundaries, so serial and
 /// parallel runs stay bit-identical.
 std::vector<double> ScoreAdditions(
     const ProfitFunction& oracle, const std::vector<SourceHandle>& selected,
-    const std::vector<SourceHandle>& candidates, ThreadPool* pool,
-    bool incremental) {
+    const std::vector<SourceHandle>& candidates, ThreadPool* pool) {
   std::vector<double> profits(candidates.size());
   auto score = [&](std::size_t begin, std::size_t end) {
     // Runs on pool workers; the span attributes to the construct /
     // local-search span via the pool's task-context propagation.
     FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
     std::unique_ptr<MarginalEvalContext> ctx;
-    if (incremental) ctx = oracle.MakeContext();
+    if (oracle.supports_incremental()) ctx = oracle.MakeContext();
     if (ctx) {
       ctx->Reset(selected);
       for (std::size_t i = begin; i < end; ++i) {
@@ -170,12 +169,10 @@ std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
                                          int kappa,
                                          const PartitionMatroid* matroid,
                                          Rng& rng, ThreadPool* pool,
-                                         bool incremental,
                                          obs::DecisionLog* log,
                                          std::uint32_t restart) {
   FRESHSEL_TRACE_SPAN("selection/grasp/construct");
   const std::size_t n = oracle.universe_size();
-  const bool use_incremental = incremental && oracle.supports_incremental();
   RoundAudit audit(log, oracle);
   std::vector<SourceHandle> selected;
   double current = oracle.Profit(selected);
@@ -191,7 +188,7 @@ std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
     }
     if (feasible.empty()) break;
     const std::vector<double> profits =
-        ScoreAdditions(oracle, selected, feasible, pool, use_incremental);
+        ScoreAdditions(oracle, selected, feasible, pool);
     std::vector<std::pair<double, SourceHandle>> candidates;
     for (std::size_t i = 0; i < feasible.size(); ++i) {
       if (profits[i] - current > kImprovementEps) {
@@ -248,11 +245,10 @@ std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,
 double GraspLocalSearch(const ProfitFunction& oracle,
                         const PartitionMatroid* matroid,
                         std::vector<SourceHandle>& selected,
-                        ThreadPool* pool, bool incremental,
-                        obs::DecisionLog* log, std::uint32_t restart) {
+                        ThreadPool* pool, obs::DecisionLog* log,
+                        std::uint32_t restart) {
   FRESHSEL_TRACE_SPAN("selection/grasp/local_search");
   const std::size_t n = oracle.universe_size();
-  const bool use_incremental = incremental && oracle.supports_incremental();
   RoundAudit audit(log, oracle);
   double current = oracle.Profit(selected);
   const bool parallel = UseParallel(oracle, pool);
@@ -268,7 +264,7 @@ double GraspLocalSearch(const ProfitFunction& oracle,
     auto score = [&](std::size_t begin, std::size_t end) {
       FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
       std::unique_ptr<MarginalEvalContext> ctx;
-      if (use_incremental) ctx = oracle.MakeContext();
+      if (oracle.supports_incremental()) ctx = oracle.MakeContext();
       for (std::size_t e = begin; e < end; ++e) {
         moves[e] = BestMoveAt(oracle, matroid, selected, current,
                               static_cast<SourceHandle>(e), ctx.get());
@@ -324,11 +320,11 @@ SelectionResult Grasp(const ProfitFunction& oracle, const GraspParams& params,
   for (int r = 0; r < restarts; ++r) {
     FRESHSEL_OBS_COUNT("selection.grasp.restarts", 1);
     std::vector<SourceHandle> selected = internal::GraspConstruct(
-        oracle, params.kappa, matroid, rng, params.pool, params.incremental,
-        params.decision_log, static_cast<std::uint32_t>(r));
+        oracle, params.kappa, matroid, rng, params.pool, params.decision_log,
+        static_cast<std::uint32_t>(r));
     const double profit = internal::GraspLocalSearch(
-        oracle, matroid, selected, params.pool, params.incremental,
-        params.decision_log, static_cast<std::uint32_t>(r));
+        oracle, matroid, selected, params.pool, params.decision_log,
+        static_cast<std::uint32_t>(r));
     if (profit > best.profit) {
       best.profit = profit;
       best.selected = selected;

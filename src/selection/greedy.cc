@@ -1,428 +1,29 @@
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "obs/decision_log.h"
 #include "obs/macros.h"
 #include "selection/algorithms.h"
 #include "selection/audit.h"
-#include "selection/set_util.h"
+#include "selection/greedy_rounds.h"
 
 namespace freshsel::selection {
-
-namespace {
-
-bool Feasible(const PartitionMatroid* matroid,
-              const std::vector<SourceHandle>& set, SourceHandle add) {
-  return matroid == nullptr || matroid->CanAdd(set, add);
-}
-
-/// Candidates still eligible this round (not selected, matroid-feasible):
-/// the number of oracle calls the eager scan would spend on the round.
-std::uint64_t CountFeasible(std::size_t n,
-                            const std::vector<SourceHandle>& selected,
-                            const PartitionMatroid* matroid) {
-  std::uint64_t feasible = 0;
-  for (std::size_t e = 0; e < n; ++e) {
-    const SourceHandle handle = static_cast<SourceHandle>(e);
-    if (internal::Contains(selected, handle)) continue;
-    if (!Feasible(matroid, selected, handle)) continue;
-    ++feasible;
-  }
-  return feasible;
-}
-
-/// Eager greedy: re-score every feasible candidate each round, take the
-/// argmax (ties -> lowest handle), accept while the marginal gain beats
-/// kImprovementEps. The exact-equivalence fallback for the lazy path.
-///
-/// With an incremental context the candidate scan runs through
-/// `ProfitWith` (O(1)-in-|S| per candidate); the context is re-rooted on
-/// the canonical sorted set after each accepted element, so evaluations
-/// track the plain oracle's to ulp precision and selections match.
-SelectionResult EagerGreedy(const ProfitFunction& oracle,
-                            const PartitionMatroid* matroid,
-                            bool incremental, obs::DecisionLog* log) {
-  FRESHSEL_TRACE_SPAN("selection/greedy/eager");
-  const std::size_t n = oracle.universe_size();
-  const std::uint64_t calls_before = oracle.call_count();
-
-  std::unique_ptr<MarginalEvalContext> ctx;
-  if (incremental && oracle.supports_incremental()) ctx = oracle.MakeContext();
-
-  std::vector<SourceHandle> selected;
-  double current = ctx ? ctx->CurrentProfit() : oracle.Profit(selected);
-  RoundAudit audit(log, oracle);
-  if (audit.active() && log->algorithm().empty()) {
-    log->set_algorithm("greedy/eager");
-  }
-  std::uint32_t round = 0;
-  while (true) {
-    audit.BeginRound();
-    double best_gain = -std::numeric_limits<double>::infinity();
-    double best_profit = 0.0;
-    SourceHandle best_element = 0;
-    bool found = false;
-    std::uint64_t pool = 0;
-    RunnerUpTracker tracker;
-    for (std::size_t e = 0; e < n; ++e) {
-      const SourceHandle handle = static_cast<SourceHandle>(e);
-      if (internal::Contains(selected, handle)) continue;
-      if (!Feasible(matroid, selected, handle)) continue;
-      ++pool;
-      const double profit =
-          ctx ? ctx->ProfitWith(handle)
-              : oracle.Profit(internal::WithAdded(selected, handle));
-      const double gain = profit - current;
-      if (audit.active()) tracker.Observe(handle, gain);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_profit = profit;
-        best_element = handle;
-        found = true;
-      }
-    }
-    if (!found || best_gain <= internal::kImprovementEps) break;
-    if (audit.active()) {
-      // The eager scan visits handles ascending with a strict > best test,
-      // so the tracker's best/second reproduce the argmax and the exact
-      // second-best (ties keep the lowest handle).
-      obs::DecisionRecord record;
-      record.round = round;
-      record.chosen = best_element;
-      record.gain = best_gain;
-      record.score = best_gain;
-      record.profit = best_profit;
-      record.pool_size = pool;
-      tracker.FillRunnerUp(best_gain, &record);
-      audit.Commit(record);
-    }
-    selected = internal::WithAdded(selected, best_element);
-    if (ctx) ctx->Reset(selected);
-    current = best_profit;
-    ++round;
-    FRESHSEL_OBS_COUNT("selection.greedy.rounds", 1);
-  }
-  SelectionResult result;
-  result.selected = std::move(selected);
-  result.profit = current;
-  result.oracle_calls = oracle.call_count() - calls_before;
-  result.cache_hit_rate = CacheHitRateOf(oracle);
-  return result;
-}
-
-/// Lazy (CELF) greedy: candidates live in a priority queue keyed by their
-/// last-computed marginal gain, which for a submodular profit is an upper
-/// bound on the current one. Each round, re-score only the top entry until
-/// a just-scored entry stays on top - that entry is the exact argmax, so
-/// selections match EagerGreedy bit for bit (same gain values, same
-/// lowest-handle tie-break).
-SelectionResult LazyGreedy(const ProfitFunction& oracle,
-                           const PartitionMatroid* matroid,
-                           bool incremental, obs::DecisionLog* log) {
-  FRESHSEL_TRACE_SPAN("selection/greedy/lazy");
-  const std::size_t n = oracle.universe_size();
-  const std::uint64_t calls_before = oracle.call_count();
-
-  std::unique_ptr<MarginalEvalContext> ctx;
-  if (incremental && oracle.supports_incremental()) ctx = oracle.MakeContext();
-
-  struct Entry {
-    double gain;           // Marginal at evaluation time (stale bound).
-    double profit;         // Oracle value of selected + {handle} then.
-    SourceHandle handle;
-    std::uint32_t round;   // Selection round of the last evaluation.
-  };
-  struct StalerFirst {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.gain != b.gain) return a.gain < b.gain;
-      return a.handle > b.handle;  // Ties pop the lowest handle first.
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, StalerFirst> queue;
-
-  std::vector<SourceHandle> selected;
-  double current = ctx ? ctx->CurrentProfit() : oracle.Profit(selected);
-  std::uint64_t saved = 0;
-  RoundAudit audit(log, oracle);
-  if (audit.active() && log->algorithm().empty()) {
-    log->set_algorithm("greedy/lazy");
-  }
-  // Round 0's record owns the seeding evaluations below.
-  audit.BeginRound();
-
-  // Round 0 seeds the queue with one exact evaluation per feasible
-  // candidate - exactly what the eager scan's first round costs.
-  for (std::size_t e = 0; e < n; ++e) {
-    const SourceHandle handle = static_cast<SourceHandle>(e);
-    if (!Feasible(matroid, selected, handle)) continue;
-    const double profit =
-        ctx ? ctx->ProfitWith(handle)
-            : oracle.Profit(internal::WithAdded(selected, handle));
-    queue.push({profit - current, profit, handle, 0});
-  }
-
-  for (std::uint32_t round = 0; !queue.empty();) {
-    const Entry top = queue.top();
-    queue.pop();
-    // A partition matroid only gets tighter as the set grows, so an entry
-    // that is infeasible now never becomes feasible again: drop it.
-    if (!Feasible(matroid, selected, top.handle)) continue;
-    if (top.round == round) {
-      // Just scored and still on top: the exact best candidate.
-      if (top.gain <= internal::kImprovementEps) break;
-      if (audit.active()) {
-        obs::DecisionRecord record;
-        record.round = round;
-        record.chosen = top.handle;
-        record.gain = top.gain;
-        record.score = top.gain;
-        record.profit = top.profit;
-        record.pool_size = CountFeasible(n, selected, matroid);
-        if (!queue.empty()) {
-          // The runner-up's key is its *stale upper bound* - the tightest
-          // information CELF has without spending the eval it just saved.
-          // The accepted entry dominated the queue, so margin >= 0.
-          const Entry& next = queue.top();
-          record.has_runner_up = true;
-          record.runner_up = next.handle;
-          record.runner_up_score = next.gain;
-          record.margin = top.gain - next.gain;
-        }
-        audit.Commit(record);
-        audit.BeginRound();
-      }
-      selected = internal::WithAdded(selected, top.handle);
-      if (ctx) ctx->Reset(selected);
-      current = top.profit;
-      ++round;
-      FRESHSEL_OBS_COUNT("selection.greedy.rounds", 1);
-      // The eager scan would have re-scored every remaining feasible
-      // candidate to find this winner; the next round's re-scores are
-      // counted as they happen.
-      saved += CountFeasible(n, selected, matroid);
-      continue;
-    }
-    const double profit =
-        ctx ? ctx->ProfitWith(top.handle)
-            : oracle.Profit(internal::WithAdded(selected, top.handle));
-    --saved;  // One of this round's budgeted re-scores actually ran.
-    FRESHSEL_OBS_COUNT("selection.celf.rescores", 1);
-    queue.push({profit - current, profit, top.handle, round});
-  }
-
-  SelectionResult result;
-  result.selected = std::move(selected);
-  result.profit = current;
-  result.oracle_calls = oracle.call_count() - calls_before;
-  result.oracle_calls_saved = saved;
-  result.cache_hit_rate = CacheHitRateOf(oracle);
-  return result;
-}
-
-/// Stochastic greedy: each round draws a uniform sample of the feasible
-/// unselected candidates and adds the sample's argmax while it improves
-/// by more than kImprovementEps. The sampling stream is consumed
-/// identically regardless of `lazy` / `incremental` (one draw per round,
-/// before any scoring), and the accepted element is always freshly
-/// scored, so selections are a function of the seed alone.
-///
-/// With `lazy`, stale upper bounds persist across rounds (submodularity:
-/// a candidate's marginal gain only shrinks as the set grows) and a
-/// sampled candidate is skipped when its stale bound cannot beat the best
-/// fresh gain found so far - the within-sample CELF composition. The
-/// tie-break guard (re-score on equal bound with a lower handle) keeps
-/// the lazy selections identical to scoring the whole sample eagerly.
-SelectionResult StochasticGreedy(const ProfitFunction& oracle,
-                                 const PartitionMatroid* matroid,
-                                 const GreedyOptions& options) {
-  FRESHSEL_TRACE_SPAN("selection/greedy/stochastic");
-  const std::size_t n = oracle.universe_size();
-  const std::uint64_t calls_before = oracle.call_count();
-
-  std::unique_ptr<MarginalEvalContext> ctx;
-  if (options.incremental && oracle.supports_incremental()) {
-    ctx = oracle.MakeContext();
-  }
-
-  const std::size_t k = options.stochastic_k > 0
-                            ? options.stochastic_k
-                            : internal::DeriveSampleK(n, matroid);
-  const std::size_t sample_size =
-      internal::StochasticSampleSize(n, k, options.stochastic_epsilon);
-  FRESHSEL_OBS_GAUGE_SET("selection.stochastic.sample_size", sample_size);
-  Rng rng(options.stochastic_seed);
-
-  std::vector<double> stale_gain;
-  if (options.lazy) {
-    stale_gain.assign(n, std::numeric_limits<double>::infinity());
-  }
-
-  std::vector<SourceHandle> selected;
-  double current = ctx ? ctx->CurrentProfit() : oracle.Profit(selected);
-  std::uint64_t saved = 0;
-  RoundAudit audit(options.decision_log, oracle);
-  if (audit.active() && options.decision_log->algorithm().empty()) {
-    options.decision_log->set_algorithm("greedy/stochastic");
-  }
-  std::uint32_t round = 0;
-  std::vector<SourceHandle> feasible;
-  std::vector<SourceHandle> sampled;
-  // Fresh (handle, gain) scores of the current round, audit only: the
-  // runner-up of a stochastic round is the second-best *freshly scored*
-  // sample member (skipped candidates were ruled out by stale bounds).
-  std::vector<std::pair<SourceHandle, double>> scored;
-  while (true) {
-    audit.BeginRound();
-    feasible.clear();
-    for (std::size_t e = 0; e < n; ++e) {
-      const SourceHandle handle = static_cast<SourceHandle>(e);
-      if (internal::Contains(selected, handle)) continue;
-      if (!Feasible(matroid, selected, handle)) continue;
-      feasible.push_back(handle);
-    }
-    if (feasible.empty()) break;
-
-    sampled.clear();
-    if (sample_size >= feasible.size()) {
-      sampled = feasible;
-    } else {
-      // Index sample re-sorted ascending so the scored order (and with it
-      // every tie-break) does not depend on the sampler's internal order.
-      std::vector<std::size_t> idx =
-          rng.SampleWithoutReplacement(feasible.size(), sample_size);
-      std::sort(idx.begin(), idx.end());
-      for (std::size_t i : idx) sampled.push_back(feasible[i]);
-    }
-    if (options.lazy) {
-      // Visit highest stale bound first so the skip test fires as early
-      // as possible; equal bounds fall back to ascending handle.
-      std::sort(sampled.begin(), sampled.end(),
-                [&stale_gain](SourceHandle a, SourceHandle b) {
-                  if (stale_gain[a] != stale_gain[b]) {
-                    return stale_gain[a] > stale_gain[b];
-                  }
-                  return a < b;
-                });
-    }
-
-    FRESHSEL_OBS_COUNT("selection.stochastic.sampled", sampled.size());
-    double best_gain = -std::numeric_limits<double>::infinity();
-    double best_profit = 0.0;
-    SourceHandle best_element = 0;
-    bool found = false;
-    scored.clear();
-    for (SourceHandle handle : sampled) {
-      if (options.lazy && found &&
-          (stale_gain[handle] < best_gain ||
-           (stale_gain[handle] == best_gain && handle > best_element))) {
-        // The stale bound already rules this candidate out (or it could
-        // only tie with a higher handle): an eager scan of the sample
-        // would have scored it for nothing.
-        ++saved;
-        FRESHSEL_OBS_COUNT("selection.stochastic.skips", 1);
-        continue;
-      }
-      const double profit =
-          ctx ? ctx->ProfitWith(handle)
-              : oracle.Profit(internal::WithAdded(selected, handle));
-      FRESHSEL_OBS_COUNT("selection.stochastic.evals", 1);
-      const double gain = profit - current;
-      if (options.lazy) stale_gain[handle] = gain;
-      if (audit.active()) scored.emplace_back(handle, gain);
-      if (!found || gain > best_gain ||
-          (gain == best_gain && handle < best_element)) {
-        best_gain = gain;
-        best_profit = profit;
-        best_element = handle;
-        found = true;
-      }
-    }
-    if (!found || best_gain <= internal::kImprovementEps) break;
-    if (audit.active()) {
-      obs::DecisionRecord record;
-      record.round = round;
-      record.chosen = best_element;
-      record.gain = best_gain;
-      record.score = best_gain;
-      record.profit = best_profit;
-      record.pool_size = feasible.size();
-      record.sample_size = sampled.size();
-      // Runner-up: best fresh score other than the winner, the same
-      // (gain, lowest-handle) preference the acceptance test uses.
-      for (const auto& [handle, gain] : scored) {
-        if (handle == best_element) continue;
-        if (!record.has_runner_up || gain > record.runner_up_score ||
-            (gain == record.runner_up_score && handle < record.runner_up)) {
-          record.has_runner_up = true;
-          record.runner_up = handle;
-          record.runner_up_score = gain;
-        }
-      }
-      if (record.has_runner_up) {
-        record.margin = best_gain - record.runner_up_score;
-      }
-      audit.Commit(record);
-    }
-    selected = internal::WithAdded(selected, best_element);
-    if (ctx) ctx->Reset(selected);
-    current = best_profit;
-    ++round;
-    FRESHSEL_OBS_COUNT("selection.greedy.rounds", 1);
-  }
-
-  SelectionResult result;
-  result.selected = std::move(selected);
-  result.profit = current;
-  result.oracle_calls = oracle.call_count() - calls_before;
-  result.oracle_calls_saved = saved;
-  result.cache_hit_rate = CacheHitRateOf(oracle);
-  return result;
-}
-
-}  // namespace
 
 SelectionResult Greedy(const ProfitFunction& oracle,
                        const PartitionMatroid* matroid,
                        const GreedyOptions& options) {
-  if (options.stochastic) return StochasticGreedy(oracle, matroid, options);
-  return options.lazy ? LazyGreedy(oracle, matroid, options.incremental,
-                                   options.decision_log)
-                      : EagerGreedy(oracle, matroid, options.incremental,
-                                    options.decision_log);
+  const std::uint64_t calls_before = oracle.call_count();
+  internal::Rounds rounds = internal::ProfitRounds(oracle, matroid, options);
+  FRESHSEL_OBS_COUNT("selection.greedy.rounds", rounds.selected.size());
+  SelectionResult result;
+  result.selected = std::move(rounds.selected);
+  result.profit = rounds.value;
+  result.oracle_calls = oracle.call_count() - calls_before;
+  result.oracle_calls_saved = rounds.saved;
+  result.cache_hit_rate = CacheHitRateOf(oracle);
+  return result;
 }
-
-namespace internal {
-
-std::size_t StochasticSampleSize(std::size_t n, std::size_t k, double eps) {
-  eps = std::clamp(eps, 1e-9, 1.0 - 1e-9);
-  k = std::max<std::size_t>(k, 1);
-  const double ratio = static_cast<double>(n) / static_cast<double>(k);
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(ratio * std::log(1.0 / eps))));
-}
-
-std::size_t DeriveSampleK(std::size_t n, const PartitionMatroid* matroid) {
-  if (matroid == nullptr) return std::max<std::size_t>(n, 1);
-  std::vector<std::size_t> group_sizes(matroid->group_count(), 0);
-  const std::size_t elems = std::min(n, matroid->element_count());
-  for (std::size_t e = 0; e < elems; ++e) {
-    ++group_sizes[matroid->GroupOf(static_cast<SourceHandle>(e))];
-  }
-  std::size_t rank = 0;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    rank += std::min<std::size_t>(
-        group_sizes[g], matroid->CapacityOf(static_cast<std::uint32_t>(g)));
-  }
-  return std::max<std::size_t>(rank, 1);
-}
-
-}  // namespace internal
 
 SelectionResult BruteForce(const ProfitFunction& oracle,
                            const PartitionMatroid* matroid) {

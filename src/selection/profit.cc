@@ -193,6 +193,29 @@ class ProfitOracle::IncrementalContext final : public MarginalEvalContext {
   std::vector<estimation::EstimatedQuality> qualities_;
 };
 
+bool ProfitOracle::submodular() const {
+  if (config_.aggregate != AggregateMode::kAverage) return false;
+  switch (config_.gain.family()) {
+    case GainFamily::kData:
+      return true;
+    case GainFamily::kLinear:
+      switch (config_.gain.metric()) {
+        case QualityMetric::kCoverage:
+        case QualityMetric::kGlobalFreshness:
+        case QualityMetric::kCoverageFreshnessMix:
+          return true;
+        case QualityMetric::kAccuracy:
+        case QualityMetric::kLocalFreshness:
+          return false;
+      }
+      return false;
+    case GainFamily::kQuadratic:
+    case GainFamily::kStep:
+      return false;
+  }
+  return false;
+}
+
 bool ProfitOracle::supports_incremental() const {
   return estimator_->SupportsIncremental();
 }

@@ -83,6 +83,13 @@ class ProfitFunction {
   /// mutable scratch state must leave it false.
   virtual bool thread_safe() const { return false; }
 
+  /// True only when the profit - and, for a `GainCostFunction`, the gain -
+  /// is known to be submodular: a marginal gain never grows as the set
+  /// grows. The greedy rounds trust stale marginals as upper bounds (CELF,
+  /// the stochastic stale-bound skip) only then, so the default is the
+  /// conservative false and a wrong true changes selections.
+  virtual bool submodular() const { return false; }
+
   /// True when `MakeContext` returns a working incremental context. The
   /// algorithms fall back to plain `Profit`/`Gain` calls otherwise, so
   /// synthetic test oracles need not implement the protocol.
@@ -134,7 +141,8 @@ class GainCostFunction : public ProfitFunction {
 
 /// How per-time-point gains are aggregated over T_f (the paper's A in
 /// Section 2.2, "e.g., average or max"). Only kAverage preserves
-/// submodularity (Section 5's condition); with kMax or kMin use GRASP.
+/// submodularity (Section 5's condition): a max or min of submodular
+/// functions need not be submodular.
 enum class AggregateMode {
   kAverage,
   kMax,
@@ -186,6 +194,14 @@ class ProfitOracle : public GainCostFunction {
   double Profit(const std::vector<SourceHandle>& set) const override;
 
   bool thread_safe() const override { return true; }
+
+  /// True for the combinations the paper proves submodular (Thms. 1-2),
+  /// averaged over T_f: the Linear gain of coverage, global freshness or
+  /// their mix, and the Data gain. Accuracy, local freshness, the
+  /// Quadratic and Step curves and the max/min aggregates report false.
+  /// The budget does not enter: a budget is a constraint, not part of the
+  /// set function.
+  bool submodular() const override;
 
   /// True when the estimator supports delta evaluation (effectiveness
   /// caching on, at least one eval time).

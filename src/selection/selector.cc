@@ -31,8 +31,6 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
   switch (config.algorithm) {
     case Algorithm::kGreedy: {
       GreedyOptions options;
-      options.lazy = config.lazy_greedy;
-      options.incremental = config.incremental_oracle;
       options.stochastic = config.stochastic_greedy;
       options.stochastic_epsilon = config.stochastic_epsilon;
       options.stochastic_seed = config.seed;
@@ -51,7 +49,6 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
       params.restarts = config.grasp_restarts;
       params.seed = config.seed;
       params.pool = config.pool;
-      params.incremental = config.incremental_oracle;
       params.decision_log = config.decision_log;
       return Grasp(oracle, params, matroid);
     }
@@ -61,7 +58,6 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
       params.restarts = 1;
       params.seed = config.seed;
       params.pool = config.pool;
-      params.incremental = config.incremental_oracle;
       params.decision_log = config.decision_log;
       return Grasp(oracle, params, matroid);
     }

@@ -31,15 +31,6 @@ struct SelectorConfig {
   int grasp_kappa = 1;
   int grasp_restarts = 1;
   std::uint64_t seed = 42;
-  /// Lazy (CELF) candidate evaluation for the greedy baseline; selections
-  /// are identical either way (see GreedyOptions::lazy), false forces the
-  /// eager full re-scan.
-  bool lazy_greedy = true;
-  /// Delta evaluation through the oracle's incremental context for the
-  /// greedy and GRASP paths when the oracle supports it (see
-  /// GreedyOptions::incremental); false forces plain full-set oracle
-  /// calls everywhere.
-  bool incremental_oracle = true;
   /// Stochastic greedy for the kGreedy path (see
   /// GreedyOptions::stochastic): per-round uniform candidate sampling at
   /// slack `stochastic_epsilon`, seeded from `seed`. Ignored by the other

@@ -89,7 +89,7 @@ Result<selection::GainFamily> GainFromName(const std::string& name) {
 /// Canonical cache key over every parameter that shapes the *prepared*
 /// half of a query (scenario identity + epoch, roster, eval times,
 /// estimator options, universe, oracle config). Algorithm knobs (seed,
-/// restarts, lazy, ...) deliberately excluded: they only affect the
+/// restarts, stochastic, ...) deliberately excluded: they only affect the
 /// per-request run.
 std::string PreparedKey(const ResidentScenario& scenario,
                         const QueryParams& params) {
@@ -295,8 +295,6 @@ Status ExecutePrepared(const PreparedQuery& prepared,
   selection::SelectionResult result;
   if (params.algorithm == "budgeted") {
     selection::BudgetedGreedyOptions budgeted_options;
-    budgeted_options.lazy = params.lazy;
-    budgeted_options.incremental = params.incremental;
     budgeted_options.stochastic = params.stochastic;
     budgeted_options.stochastic_epsilon = params.stochastic_epsilon;
     budgeted_options.stochastic_seed =
@@ -325,8 +323,6 @@ Status ExecutePrepared(const PreparedQuery& prepared,
     config.grasp_kappa = static_cast<int>(params.kappa);
     config.grasp_restarts = static_cast<int>(params.restarts);
     config.seed = static_cast<std::uint64_t>(params.seed);
-    config.lazy_greedy = params.lazy;
-    config.incremental_oracle = params.incremental;
     config.stochastic_greedy = params.stochastic;
     config.stochastic_epsilon = params.stochastic_epsilon;
     config.report = &run_report;

@@ -181,10 +181,6 @@ Result<bool> ApplyQueryField(const obs::JsonValue::Member& member,
   } else if (key == "threads") {
     FRESHSEL_ASSIGN_OR_RETURN(params->threads,
                               ReadIntRange(value, key, 1, kMaxQueryThreads));
-  } else if (key == "lazy") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->lazy, ReadBool(value, key));
-  } else if (key == "incremental") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->incremental, ReadBool(value, key));
   } else if (key == "stochastic") {
     FRESHSEL_ASSIGN_OR_RETURN(params->stochastic, ReadBool(value, key));
   } else if (key == "stochastic_epsilon") {
@@ -443,10 +439,6 @@ std::string SerializeQueryRequest(bool has_id, std::uint64_t id,
   writer.Int(params.seed);
   writer.Key("threads");
   writer.Int(params.threads);
-  writer.Key("lazy");
-  writer.Bool(params.lazy);
-  writer.Key("incremental");
-  writer.Bool(params.incremental);
   writer.Key("stochastic");
   writer.Bool(params.stochastic);
   writer.Field("stochastic_epsilon", params.stochastic_epsilon);

@@ -101,8 +101,6 @@ struct QueryParams {
   std::int64_t restarts = 20;
   std::int64_t seed = 42;
   std::int64_t threads = 1;
-  bool lazy = true;         ///< CELF candidate evaluation.
-  bool incremental = true;  ///< Delta evaluation through EvalContext.
   bool stochastic = false;  ///< Sampled greedy rounds.
   double stochastic_epsilon = 0.1;
   bool fast_math = false;   ///< SIMD FMA reduction kernels.

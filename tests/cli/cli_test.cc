@@ -100,6 +100,25 @@ TEST_F(CliEndToEndTest, UsageOnUnknownCommand) {
   EXPECT_NE(output.find("usage:"), std::string::npos);
 }
 
+TEST_F(CliEndToEndTest, SelectRejectsRemovedAccelerationFlags) {
+  // CELF and incremental scoring follow from the profit, so the former
+  // --lazy and --incremental flags are unknown and fail before any I/O.
+  for (const char* name : {"lazy", "incremental"}) {
+    const std::string flag = std::string("--") + name + "=false";
+    std::string output;
+    EXPECT_NE(Run({"select", "--dir", dir_.c_str(), flag.c_str()}, &output),
+              0)
+        << flag;
+    EXPECT_NE(output.find(std::string("unknown flag(s): --") + name),
+              std::string::npos)
+        << output;
+  }
+  std::string usage;
+  Run({"frobnicate"}, &usage);
+  EXPECT_EQ(usage.find("--lazy"), std::string::npos);
+  EXPECT_EQ(usage.find("--incremental"), std::string::npos);
+}
+
 TEST_F(CliEndToEndTest, SimulateCharacterizeSelect) {
   std::string output;
   ASSERT_EQ(Run({"simulate", "--workload", "bl", "--out", dir_.c_str(),

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "selection/set_util.h"
+#include "testing/forced_path_oracle.h"
 
 namespace freshsel::selection {
 namespace {
@@ -20,6 +21,7 @@ class ModularFunction : public ProfitFunction {
   explicit ModularFunction(std::vector<double> weights)
       : weights_(std::move(weights)) {}
   std::size_t universe_size() const override { return weights_.size(); }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     double total = 0.0;
@@ -45,6 +47,7 @@ class CoverageFunction : public ProfitFunction {
         costs_(std::move(costs)) {}
 
   std::size_t universe_size() const override { return covers_.size(); }
+  bool submodular() const override { return true; }
 
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
@@ -85,6 +88,25 @@ class CoverageFunction : public ProfitFunction {
   std::vector<double> costs_;
 };
 
+/// A complementary pair: elements 0 and 1 earn a bonus together, so the
+/// profit is not submodular (element 1's marginal grows once 0 is in).
+/// Element 2 is a decoy with a small constant loss. Reports the default
+/// `submodular() == false`.
+class ComplementaryPair : public ProfitFunction {
+ public:
+  std::size_t universe_size() const override { return 3; }
+  double Profit(const std::vector<SourceHandle>& set) const override {
+    ++calls_;
+    const double weights[] = {1.0, -0.1, -0.05};
+    double total = 0.0;
+    for (SourceHandle e : set) total += weights[e];
+    if (internal::Contains(set, 0) && internal::Contains(set, 1)) {
+      total += 2.0;
+    }
+    return total;
+  }
+};
+
 TEST(ImprovesByTest, ThresholdSemantics) {
   EXPECT_TRUE(internal::ImprovesBy(1.2, 1.0, 0.1));
   EXPECT_FALSE(internal::ImprovesBy(1.05, 1.0, 0.1));
@@ -117,10 +139,10 @@ TEST(GreedyTest, NearZeroProfitsTerminateEmpty) {
   // floating-point chatter.
   ModularFunction f({internal::kImprovementEps,
                      internal::kImprovementEps / 2.0, 0.0});
-  for (bool lazy : {true, false}) {
-    SelectionResult result = Greedy(f, nullptr, GreedyOptions{lazy});
-    EXPECT_TRUE(result.selected.empty()) << "lazy=" << lazy;
-    EXPECT_DOUBLE_EQ(result.profit, 0.0) << "lazy=" << lazy;
+  const testing::ForcedPathOracle eager(f, testing::ForcedPath::kEager);
+  for (const SelectionResult& result : {Greedy(f), Greedy(eager)}) {
+    EXPECT_TRUE(result.selected.empty());
+    EXPECT_DOUBLE_EQ(result.profit, 0.0);
   }
   // A marginal just above the threshold is still taken.
   ModularFunction above({1e-9});
@@ -130,8 +152,9 @@ TEST(GreedyTest, NearZeroProfitsTerminateEmpty) {
 TEST(GreedyTest, EagerFallbackMatchesDefault) {
   Rng rng(167);
   CoverageFunction f = CoverageFunction::Random(12, 18, 0.4, rng);
-  SelectionResult lazy = Greedy(f, nullptr, GreedyOptions{true});
-  SelectionResult eager = Greedy(f, nullptr, GreedyOptions{false});
+  SelectionResult lazy = Greedy(f);
+  SelectionResult eager =
+      Greedy(testing::ForcedPathOracle(f, testing::ForcedPath::kEager));
   EXPECT_EQ(lazy.selected, eager.selected);
   EXPECT_DOUBLE_EQ(lazy.profit, eager.profit);
   // The lazy path must not spend more oracle calls than the eager scan,
@@ -139,6 +162,23 @@ TEST(GreedyTest, EagerFallbackMatchesDefault) {
   EXPECT_LE(lazy.oracle_calls, eager.oracle_calls);
   EXPECT_EQ(lazy.oracle_calls + lazy.oracle_calls_saved,
             eager.oracle_calls);
+}
+
+TEST(GreedyTest, NonSubmodularProfitGetsTheFullScan) {
+  // CELF would trust element 1's stale marginal (-0.1) as an upper bound:
+  // after taking 0 it re-scores only the decoy (-0.05), which tops the
+  // queue, and stops at {0} with profit 1.0. A full re-scan sees that 1 is
+  // now worth +1.9.
+  ComplementaryPair f;
+  ASSERT_FALSE(f.submodular());
+  const SelectionResult result = Greedy(f);
+  EXPECT_EQ(result.selected, (std::vector<SourceHandle>{0, 1}));
+  EXPECT_DOUBLE_EQ(result.profit, 2.9);
+  EXPECT_EQ(result.oracle_calls_saved, 0u);
+  const SelectionResult eager =
+      Greedy(testing::ForcedPathOracle(f, testing::ForcedPath::kEager));
+  EXPECT_EQ(result.selected, eager.selected);
+  EXPECT_EQ(result.oracle_calls, eager.oracle_calls);
 }
 
 TEST(GreedyTest, RespectsMatroid) {

@@ -11,6 +11,7 @@
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
 #include "source/source_simulator.h"
+#include "testing/forced_path_oracle.h"
 #include "world/world_simulator.h"
 
 namespace freshsel::selection {
@@ -140,10 +141,9 @@ TEST_F(BudgetedFixture, ZeroBudgetSelectsNothing) {
 TEST_F(BudgetedFixture, LazyMatchesEagerExactly) {
   for (double budget : {0.1, 0.25, 0.46, 0.5, 0.8}) {
     ProfitOracle oracle = MakeOracle(budget);
-    SelectionResult lazy =
-        BudgetedGreedy(oracle, BudgetedGreedyOptions{true});
-    SelectionResult eager =
-        BudgetedGreedy(oracle, BudgetedGreedyOptions{false});
+    SelectionResult lazy = BudgetedGreedy(oracle);
+    SelectionResult eager = BudgetedGreedy(
+        testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager));
     EXPECT_EQ(lazy.selected, eager.selected) << "budget " << budget;
     EXPECT_DOUBLE_EQ(lazy.profit, eager.profit) << "budget " << budget;
     EXPECT_LE(lazy.oracle_calls, eager.oracle_calls) << "budget " << budget;
@@ -161,6 +161,7 @@ class CountingGainCost : public GainCostFunction {
         budget_(budget) {}
 
   std::size_t universe_size() const override { return weights_.size(); }
+  bool submodular() const override { return true; }
   double Gain(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     ++gain_calls_;
@@ -206,13 +207,15 @@ TEST(BudgetedGreedyCostCallsTest, SingletonCostsAreEvaluatedOncePerElement) {
     weights[e] = 1.0 + static_cast<double>(e % 5);
     costs[e] = 0.5 + 0.25 * static_cast<double>(e % 3);
   }
-  for (bool lazy : {true, false}) {
+  for (bool eager : {false, true}) {
     CountingGainCost oracle(weights, costs, /*budget=*/4.0);
     SelectionResult result =
-        BudgetedGreedy(oracle, BudgetedGreedyOptions{lazy});
-    EXPECT_GE(result.selected.size(), 2u) << "lazy=" << lazy;
+        eager ? BudgetedGreedy(testing::ForcedPathOracle(
+                    oracle, testing::ForcedPath::kEager))
+              : BudgetedGreedy(oracle);
+    EXPECT_GE(result.selected.size(), 2u) << "eager=" << eager;
     // One Cost call per element, plus the final Profit's cost check.
-    EXPECT_EQ(oracle.cost_calls(), n + 1) << "lazy=" << lazy;
+    EXPECT_EQ(oracle.cost_calls(), n + 1) << "eager=" << eager;
   }
 }
 

@@ -22,6 +22,7 @@ class ModularGainCost : public GainCostFunction {
         budget_(budget) {}
 
   std::size_t universe_size() const override { return weights_.size(); }
+  bool submodular() const override { return true; }
   double Gain(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     double total = 0.0;

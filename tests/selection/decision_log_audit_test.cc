@@ -14,6 +14,7 @@
 #include "obs/decision_log.h"
 #include "selection/algorithms.h"
 #include "selection/budgeted_greedy.h"
+#include "testing/forced_path_oracle.h"
 
 namespace freshsel::selection {
 namespace {
@@ -30,6 +31,7 @@ class CoverageOracle : public ProfitFunction {
   }
 
   std::size_t universe_size() const override { return covers_.size(); }
+  bool submodular() const override { return true; }
 
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
@@ -60,6 +62,7 @@ class BudgetedCoverageOracle : public GainCostFunction {
   std::size_t universe_size() const override {
     return inner_.universe_size();
   }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     return inner_.Profit(set);
   }
@@ -132,9 +135,10 @@ TEST(DecisionLogAuditTest, EagerAndLazyLogsAgreeBitIdentically) {
 
   obs::DecisionLog eager_log;
   GreedyOptions eager_options;
-  eager_options.lazy = false;
   eager_options.decision_log = &eager_log;
-  const SelectionResult eager = Greedy(oracle, nullptr, eager_options);
+  const SelectionResult eager = Greedy(
+      testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager),
+      nullptr, eager_options);
 
   if (lazy_log.empty()) GTEST_SKIP() << "observability compiled out";
   EXPECT_EQ(lazy_log.algorithm(), "greedy/lazy");
@@ -153,9 +157,10 @@ TEST(DecisionLogAuditTest, RunnerUpMarginsAreConsistent) {
   CoverageOracle oracle;
   obs::DecisionLog log;
   GreedyOptions options;
-  options.lazy = false;  // The eager scan always knows the runner-up.
   options.decision_log = &log;
-  Greedy(oracle, nullptr, options);
+  // The eager scan always knows the runner-up.
+  Greedy(testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager),
+         nullptr, options);
   if (log.empty()) GTEST_SKIP() << "observability compiled out";
   bool saw_runner_up = false;
   for (const obs::DecisionRecord& record : log.records()) {

@@ -21,6 +21,7 @@
 #include "harness/learned_scenario.h"
 #include "selection/algorithms.h"
 #include "selection/budgeted_greedy.h"
+#include "testing/forced_path_oracle.h"
 #include "selection/cost.h"
 #include "selection/profit.h"
 #include "workloads/bl_generator.h"
@@ -188,11 +189,11 @@ TEST_P(DegradationEquivalenceTest, GreedySelectsIdenticallyOnBothPipelines) {
   const double unbounded = std::numeric_limits<double>::infinity();
   Pipeline a = MakePipeline(robust.world_model, robust.profiles, unbounded);
   Pipeline b = MakePipeline(plain.world_model, manual, unbounded);
-  ExpectIdentical(Greedy(*a.oracle, nullptr, GreedyOptions{false}),
-                  Greedy(*b.oracle, nullptr, GreedyOptions{false}),
-                  "degraded eager greedy", GetParam());
-  ExpectIdentical(Greedy(*a.oracle, nullptr, GreedyOptions{true}),
-                  Greedy(*b.oracle, nullptr, GreedyOptions{true}),
+  ExpectIdentical(
+      Greedy(testing::ForcedPathOracle(*a.oracle, testing::ForcedPath::kEager)),
+      Greedy(testing::ForcedPathOracle(*b.oracle, testing::ForcedPath::kEager)),
+      "degraded eager greedy", GetParam());
+  ExpectIdentical(Greedy(*a.oracle), Greedy(*b.oracle),
                   "degraded lazy greedy", GetParam());
 }
 
@@ -208,8 +209,7 @@ TEST_P(DegradationEquivalenceTest, BudgetedGreedyAgreesOnBothPipelines) {
   for (double budget : {0.2, 0.5}) {
     Pipeline a = MakePipeline(robust.world_model, robust.profiles, budget);
     Pipeline b = MakePipeline(plain.world_model, manual, budget);
-    ExpectIdentical(BudgetedGreedy(*a.oracle, BudgetedGreedyOptions{true}),
-                    BudgetedGreedy(*b.oracle, BudgetedGreedyOptions{true}),
+    ExpectIdentical(BudgetedGreedy(*a.oracle), BudgetedGreedy(*b.oracle),
                     "degraded budgeted greedy", GetParam());
   }
 }

@@ -2,7 +2,8 @@
 // the memoizing oracle decorator, and the thread-pool parallel paths are
 // pure accelerations - selections and profits must be byte-identical to
 // the plain implementations, on synthetic functions and on full BL / BL+
-// scenario oracles, across seeds.
+// scenario oracles, across seeds. The eager reference runs go through
+// testing::ForcedPathOracle, which hides the oracle's submodularity.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "selection/budgeted_greedy.h"
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/bl_generator.h"
 #include "workloads/blplus_generator.h"
 
@@ -37,6 +39,7 @@ class CoverageFunction : public ProfitFunction {
         costs_(std::move(costs)) {}
 
   std::size_t universe_size() const override { return covers_.size(); }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     std::vector<bool> covered(item_weights_.size(), false);
@@ -77,6 +80,11 @@ class CoverageFunction : public ProfitFunction {
   std::vector<double> costs_;
 };
 
+/// The eager full-scan reference path over `oracle`.
+testing::ForcedPathOracle Eager(const ProfitFunction& oracle) {
+  return testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager);
+}
+
 void ExpectIdentical(const SelectionResult& a, const SelectionResult& b,
                      const char* what, std::uint64_t seed) {
   EXPECT_EQ(a.selected, b.selected) << what << ", seed " << seed;
@@ -89,8 +97,8 @@ TEST(GreedyEquivalenceTest, LazyCachedAndPlainAgreeAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     CoverageFunction f = CoverageFunction::Random(20, 30, 0.4, rng);
-    SelectionResult eager = Greedy(f, nullptr, GreedyOptions{false});
-    SelectionResult lazy = Greedy(f, nullptr, GreedyOptions{true});
+    SelectionResult eager = Greedy(Eager(f));
+    SelectionResult lazy = Greedy(f);
     CachedProfitOracle cached(f);
     SelectionResult through_cache = Greedy(cached);
     ExpectIdentical(lazy, eager, "lazy vs eager", seed);
@@ -107,8 +115,8 @@ TEST(GreedyEquivalenceTest, LazyMatchesEagerUnderMatroid) {
         PartitionMatroid::Create({0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2},
                                  {2, 2, 2})
             .value();
-    SelectionResult eager = Greedy(f, &matroid, GreedyOptions{false});
-    SelectionResult lazy = Greedy(f, &matroid, GreedyOptions{true});
+    SelectionResult eager = Greedy(Eager(f), &matroid);
+    SelectionResult lazy = Greedy(f, &matroid);
     ExpectIdentical(lazy, eager, "matroid lazy vs eager", seed);
   }
 }
@@ -186,8 +194,8 @@ class ScenarioEquivalenceTest
 
 TEST_P(ScenarioEquivalenceTest, GreedyVariantsAgreeOnBlOracle) {
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
-  SelectionResult eager = Greedy(*p.oracle, nullptr, GreedyOptions{false});
-  SelectionResult lazy = Greedy(*p.oracle, nullptr, GreedyOptions{true});
+  SelectionResult eager = Greedy(Eager(*p.oracle));
+  SelectionResult lazy = Greedy(*p.oracle);
   CachedProfitOracle cached(*p.oracle);
   SelectionResult through_cache = Greedy(cached);
   ExpectIdentical(lazy, eager, "BL lazy vs eager", GetParam());
@@ -197,10 +205,8 @@ TEST_P(ScenarioEquivalenceTest, GreedyVariantsAgreeOnBlOracle) {
 TEST_P(ScenarioEquivalenceTest, BudgetedGreedyVariantsAgreeOnBlOracle) {
   for (double budget : {0.2, 0.5}) {
     Pipeline p = MakePipeline(budget);
-    SelectionResult eager =
-        BudgetedGreedy(*p.oracle, BudgetedGreedyOptions{false});
-    SelectionResult lazy =
-        BudgetedGreedy(*p.oracle, BudgetedGreedyOptions{true});
+    SelectionResult eager = BudgetedGreedy(Eager(*p.oracle));
+    SelectionResult lazy = BudgetedGreedy(*p.oracle);
     ExpectIdentical(lazy, eager, "BL budgeted lazy vs eager", GetParam());
     EXPECT_LE(lazy.oracle_calls, eager.oracle_calls);
   }
@@ -222,8 +228,8 @@ TEST_P(ScenarioEquivalenceTest, GreedyVariantsAgreeOnBlPlusRoster) {
           .value();
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity(),
                             &roster.sources);
-  SelectionResult eager = Greedy(*p.oracle, nullptr, GreedyOptions{false});
-  SelectionResult lazy = Greedy(*p.oracle, nullptr, GreedyOptions{true});
+  SelectionResult eager = Greedy(Eager(*p.oracle));
+  SelectionResult lazy = Greedy(*p.oracle);
   ExpectIdentical(lazy, eager, "BL+ lazy vs eager", GetParam());
   EXPECT_LE(lazy.oracle_calls, eager.oracle_calls);
 }

@@ -4,7 +4,8 @@
 // incremental on and off, with profits agreeing to <= 1e-12, on full
 // BL-scenario ProfitOracles, across seeds and estimator Options flags.
 // Oracle-call accounting must also match exactly, so the lazy-greedy
-// savings statistics stay comparable across the two paths.
+// savings statistics stay comparable across the two paths. The plain and
+// eager reference runs go through testing::ForcedPathOracle.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
 #include "selection/selector.h"
+#include "testing/forced_path_oracle.h"
 #include "workloads/bl_generator.h"
 
 namespace freshsel::selection {
@@ -34,6 +36,9 @@ namespace {
 /// last bits while the argmax sequence - and hence the selection - stays
 /// identical.
 constexpr double kProfitTol = 1e-12;
+
+using testing::ForcedPath;
+using testing::ForcedPathOracle;
 
 void ExpectEquivalent(const SelectionResult& incremental,
                       const SelectionResult& plain, const char* what,
@@ -107,13 +112,13 @@ class IncrementalEquivalenceTest
 TEST_P(IncrementalEquivalenceTest, GreedyMatchesPlainEagerAndLazy) {
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
   EXPECT_TRUE(p.oracle->supports_incremental());
-  for (bool lazy : {false, true}) {
-    GreedyOptions plain_opts{lazy, /*incremental=*/false};
-    GreedyOptions inc_opts{lazy, /*incremental=*/true};
-    ExpectEquivalent(Greedy(*p.oracle, nullptr, inc_opts),
-                     Greedy(*p.oracle, nullptr, plain_opts),
-                     lazy ? "lazy greedy" : "eager greedy", GetParam());
-  }
+  ExpectEquivalent(Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kEager)),
+                   Greedy(ForcedPathOracle(*p.oracle,
+                                           ForcedPath::kEagerPlain)),
+                   "eager greedy", GetParam());
+  ExpectEquivalent(Greedy(*p.oracle),
+                   Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kPlain)),
+                   "lazy greedy", GetParam());
 }
 
 TEST_P(IncrementalEquivalenceTest, GreedyMatchesAcrossEstimatorOptions) {
@@ -128,9 +133,8 @@ TEST_P(IncrementalEquivalenceTest, GreedyMatchesAcrossEstimatorOptions) {
     Pipeline p =
         MakePipeline(std::numeric_limits<double>::infinity(), options);
     SelectionResult plain =
-        Greedy(*p.oracle, nullptr, GreedyOptions{true, false});
-    SelectionResult incremental =
-        Greedy(*p.oracle, nullptr, GreedyOptions{true, true});
+        Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kPlain));
+    SelectionResult incremental = Greedy(*p.oracle);
     ExpectEquivalent(incremental, plain,
                      ("options mask " + std::to_string(mask)).c_str(),
                      GetParam());
@@ -145,38 +149,43 @@ TEST_P(IncrementalEquivalenceTest, GreedyMatchesUnderMatroid) {
   }
   PartitionMatroid matroid =
       PartitionMatroid::Create(groups, {2, 2, 2}).value();
-  for (bool lazy : {false, true}) {
-    ExpectEquivalent(
-        Greedy(*p.oracle, &matroid, GreedyOptions{lazy, true}),
-        Greedy(*p.oracle, &matroid, GreedyOptions{lazy, false}),
-        "matroid greedy", GetParam());
-  }
+  ExpectEquivalent(
+      Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kEager), &matroid),
+      Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kEagerPlain), &matroid),
+      "matroid eager greedy", GetParam());
+  ExpectEquivalent(
+      Greedy(*p.oracle, &matroid),
+      Greedy(ForcedPathOracle(*p.oracle, ForcedPath::kPlain), &matroid),
+      "matroid lazy greedy", GetParam());
 }
 
 TEST_P(IncrementalEquivalenceTest, BudgetedGreedyMatchesPlain) {
   for (double budget : {0.2, 0.5}) {
     Pipeline p = MakePipeline(budget);
-    for (bool lazy : {false, true}) {
-      ExpectEquivalent(
-          BudgetedGreedy(*p.oracle, BudgetedGreedyOptions{lazy, true}),
-          BudgetedGreedy(*p.oracle, BudgetedGreedyOptions{lazy, false}),
-          "budgeted greedy", GetParam());
-    }
+    ExpectEquivalent(
+        BudgetedGreedy(ForcedPathOracle(*p.oracle, ForcedPath::kEager)),
+        BudgetedGreedy(ForcedPathOracle(*p.oracle, ForcedPath::kEagerPlain)),
+        "budgeted eager greedy", GetParam());
+    ExpectEquivalent(
+        BudgetedGreedy(*p.oracle),
+        BudgetedGreedy(ForcedPathOracle(*p.oracle, ForcedPath::kPlain)),
+        "budgeted lazy greedy", GetParam());
   }
 }
 
 TEST_P(IncrementalEquivalenceTest, GraspMatchesPlainSerialAndPooled) {
+  // The plain reference evaluates serially (the decorator is not
+  // thread-safe); incremental runs go serial and pooled.
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
+  const SelectionResult plain =
+      Grasp(ForcedPathOracle(*p.oracle, ForcedPath::kPlain),
+            GraspParams{2, 3, GetParam(), nullptr});
   ThreadPool pool(3);
   for (ThreadPool* worker_pool : {static_cast<ThreadPool*>(nullptr),
                                   &pool}) {
-    GraspParams plain{2, 3, GetParam(), worker_pool,
-                      /*incremental=*/false};
-    GraspParams incremental{2, 3, GetParam(), worker_pool,
-                            /*incremental=*/true};
-    ExpectEquivalent(Grasp(*p.oracle, incremental),
-                     Grasp(*p.oracle, plain),
-                     worker_pool ? "grasp pooled" : "grasp serial",
+    ExpectEquivalent(Grasp(*p.oracle, GraspParams{2, 3, GetParam(),
+                                                  worker_pool}),
+                     plain, worker_pool ? "grasp pooled" : "grasp serial",
                      GetParam());
   }
 }
@@ -185,10 +194,8 @@ TEST_P(IncrementalEquivalenceTest, CachedOracleForwardsIncremental) {
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
   CachedProfitOracle cached(*p.oracle);
   EXPECT_TRUE(cached.supports_incremental());
-  SelectionResult plain =
-      Greedy(cached, nullptr, GreedyOptions{true, false});
-  SelectionResult incremental =
-      Greedy(cached, nullptr, GreedyOptions{true, true});
+  SelectionResult plain = Greedy(ForcedPathOracle(cached, ForcedPath::kPlain));
+  SelectionResult incremental = Greedy(cached);
   EXPECT_EQ(incremental.selected, plain.selected) << GetParam();
   EXPECT_NEAR(incremental.profit, plain.profit,
               kProfitTol * (1.0 + std::abs(plain.profit)))
@@ -200,19 +207,19 @@ TEST_P(IncrementalEquivalenceTest, CachedOracleForwardsIncremental) {
 }
 
 TEST_P(IncrementalEquivalenceTest, SelectorFacadeHonorsIncrementalFlag) {
+  // The facade scores through the oracle's incremental context exactly
+  // when `supports_incremental()` says so; hiding it gives the same run.
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
+  const ForcedPathOracle plain_oracle(*p.oracle, ForcedPath::kPlain);
   for (Algorithm algorithm :
        {Algorithm::kGreedy, Algorithm::kGrasp, Algorithm::kHillClimb}) {
-    SelectorConfig plain;
-    plain.algorithm = algorithm;
-    plain.seed = GetParam();
-    plain.grasp_kappa = 2;
-    plain.grasp_restarts = 2;
-    plain.incremental_oracle = false;
-    SelectorConfig incremental = plain;
-    incremental.incremental_oracle = true;
-    SelectionResult a = SelectSources(*p.oracle, incremental).value();
-    SelectionResult b = SelectSources(*p.oracle, plain).value();
+    SelectorConfig config;
+    config.algorithm = algorithm;
+    config.seed = GetParam();
+    config.grasp_kappa = 2;
+    config.grasp_restarts = 2;
+    SelectionResult a = SelectSources(*p.oracle, config).value();
+    SelectionResult b = SelectSources(plain_oracle, config).value();
     EXPECT_EQ(a.selected, b.selected)
         << AlgorithmName(algorithm) << ", seed " << GetParam();
     EXPECT_NEAR(a.profit, b.profit,
@@ -230,6 +237,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
 class PlainCoverage : public ProfitFunction {
  public:
   std::size_t universe_size() const override { return 8; }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     double total = 0.0;
@@ -242,8 +250,8 @@ TEST(IncrementalFallbackTest, OracleWithoutSupportUsesPlainPath) {
   PlainCoverage f;
   EXPECT_FALSE(f.supports_incremental());
   EXPECT_EQ(f.MakeContext(), nullptr);
-  SelectionResult on = Greedy(f, nullptr, GreedyOptions{true, true});
-  SelectionResult off = Greedy(f, nullptr, GreedyOptions{true, false});
+  SelectionResult on = Greedy(f);
+  SelectionResult off = Greedy(ForcedPathOracle(f, ForcedPath::kPlain));
   EXPECT_EQ(on.selected, off.selected);
   EXPECT_EQ(on.profit, off.profit);
   EXPECT_EQ(on.oracle_calls, off.oracle_calls);

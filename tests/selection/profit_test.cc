@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include <memory>
 
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
+#include "selection/cached_oracle.h"
 #include "source/source_simulator.h"
 #include "world/world_simulator.h"
 
@@ -73,6 +75,50 @@ TEST_F(ProfitOracleFixture, CreateValidates) {
   EXPECT_TRUE(ProfitOracle::Create(estimator_.get(), {1.0, 2.0, 3.0},
                                    ProfitOracle::Config{})
                   .ok());
+}
+
+TEST_F(ProfitOracleFixture, SubmodularTruthTable) {
+  // Average aggregate. Rows: Linear, Quadratic, Step, Data. Columns:
+  // coverage, accuracy, global freshness, local freshness, mix. Only the
+  // Linear gain of coverage, global freshness or their mix, and the Data
+  // gain, are submodular (Thms. 1-2); max and min never are. A budget is a
+  // constraint, not part of the set function, so it changes nothing.
+  const GainFamily families[] = {GainFamily::kLinear, GainFamily::kQuadratic,
+                                 GainFamily::kStep, GainFamily::kData};
+  const QualityMetric metrics[] = {
+      QualityMetric::kCoverage, QualityMetric::kAccuracy,
+      QualityMetric::kGlobalFreshness, QualityMetric::kLocalFreshness,
+      QualityMetric::kCoverageFreshnessMix};
+  constexpr bool kAverage[4][5] = {
+      {true, false, true, false, true},
+      {false, false, false, false, false},
+      {false, false, false, false, false},
+      {true, true, true, true, true},
+  };
+  for (int f = 0; f < 4; ++f) {
+    for (int m = 0; m < 5; ++m) {
+      for (AggregateMode aggregate :
+           {AggregateMode::kAverage, AggregateMode::kMax,
+            AggregateMode::kMin}) {
+        for (double budget : {std::numeric_limits<double>::infinity(),
+                              0.4}) {
+          ProfitOracle::Config config;
+          config.gain = GainModel(families[f], metrics[m]);
+          config.aggregate = aggregate;
+          config.budget = budget;
+          const ProfitOracle oracle = MakeOracle(config);
+          const bool expected =
+              aggregate == AggregateMode::kAverage && kAverage[f][m];
+          EXPECT_EQ(oracle.submodular(), expected)
+              << "family " << f << " metric " << m << " aggregate "
+              << static_cast<int>(aggregate) << " budget " << budget;
+          // The memoizing decorator the serve path wraps every oracle in
+          // must forward the verdict, or every served query goes eager.
+          EXPECT_EQ(CachedProfitOracle(oracle).submodular(), expected);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ProfitOracleFixture, CostsAreNormalized) {

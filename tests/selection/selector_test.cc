@@ -13,6 +13,7 @@ class ModularFunction : public ProfitFunction {
   explicit ModularFunction(std::vector<double> weights)
       : weights_(std::move(weights)) {}
   std::size_t universe_size() const override { return weights_.size(); }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     double total = 0.0;

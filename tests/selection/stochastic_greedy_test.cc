@@ -15,6 +15,7 @@
 #include "selection/cached_oracle.h"
 #include "selection/set_util.h"
 #include "source/source_simulator.h"
+#include "testing/forced_path_oracle.h"
 #include "world/world_simulator.h"
 
 namespace freshsel::selection {
@@ -33,6 +34,7 @@ class CoverageFunction : public ProfitFunction {
         costs_(std::move(costs)) {}
 
   std::size_t universe_size() const override { return covers_.size(); }
+  bool submodular() const override { return true; }
 
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
@@ -79,6 +81,7 @@ class ModularFunction : public ProfitFunction {
   explicit ModularFunction(std::vector<double> weights)
       : weights_(std::move(weights)) {}
   std::size_t universe_size() const override { return weights_.size(); }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     double total = 0.0;
@@ -102,6 +105,7 @@ class CoverageGainCost : public GainCostFunction {
   std::size_t universe_size() const override {
     return gain_part_.universe_size();
   }
+  bool submodular() const override { return true; }
   double Profit(const std::vector<SourceHandle>& set) const override {
     ++calls_;
     return gain_part_.Profit(set);
@@ -123,12 +127,12 @@ class CoverageGainCost : public GainCostFunction {
   double budget_;
 };
 
-GreedyOptions Stochastic(std::uint64_t seed, bool lazy = true,
-                         bool incremental = true, double eps = 0.1,
+using testing::ForcedPath;
+using testing::ForcedPathOracle;
+
+GreedyOptions Stochastic(std::uint64_t seed, double eps = 0.1,
                          std::size_t k = 0) {
   GreedyOptions options;
-  options.lazy = lazy;
-  options.incremental = incremental;
   options.stochastic = true;
   options.stochastic_epsilon = eps;
   options.stochastic_seed = seed;
@@ -179,16 +183,17 @@ TEST(StochasticGreedyTest, DeterministicPerSeed) {
 
 TEST(StochasticGreedyTest, SelectionsIdenticalAcrossLazyAndEager) {
   // The sampling stream is drawn once per round before any scoring and the
-  // winner is always freshly scored, so the lazy stale-bound skipping must
-  // not change what gets selected - only how many evaluations it costs.
+  // winner is always freshly scored, so the stale-bound skipping of a
+  // submodular oracle must not change what gets selected - only how many
+  // evaluations it costs. The eager pass hides the submodularity.
   Rng rng(403);
   for (int round = 0; round < 10; ++round) {
     CoverageFunction f = CoverageFunction::Random(25, 30, 0.4, rng);
     for (std::uint64_t seed : {1u, 17u, 99u}) {
-      const SelectionResult lazy =
-          Greedy(f, nullptr, Stochastic(seed, /*lazy=*/true));
+      const SelectionResult lazy = Greedy(f, nullptr, Stochastic(seed));
       const SelectionResult eager =
-          Greedy(f, nullptr, Stochastic(seed, /*lazy=*/false));
+          Greedy(ForcedPathOracle(f, ForcedPath::kEager), nullptr,
+                 Stochastic(seed));
       EXPECT_EQ(lazy.selected, eager.selected)
           << "round " << round << " seed " << seed;
       EXPECT_DOUBLE_EQ(lazy.profit, eager.profit);
@@ -212,7 +217,7 @@ TEST(StochasticGreedyTest, DifferentSeedsExploreDifferentSamples) {
   bool any_difference = false;
   for (std::uint64_t seed = 1; seed <= 8 && !any_difference; ++seed) {
     runs.push_back(
-        Greedy(f, nullptr, Stochastic(seed, true, true, 0.5, 8)).selected);
+        Greedy(f, nullptr, Stochastic(seed, 0.5, 8)).selected);
     if (runs.size() > 1 && runs.back() != runs.front()) {
       any_difference = true;
     }
@@ -228,10 +233,9 @@ TEST(StochasticGreedyTest, FullSampleDegeneratesToExactGreedy) {
   for (int round = 0; round < 10; ++round) {
     CoverageFunction f = CoverageFunction::Random(15, 20, 0.4, rng);
     const SelectionResult exact =
-        Greedy(f, nullptr, GreedyOptions{/*lazy=*/false});
+        Greedy(ForcedPathOracle(f, ForcedPath::kEager));
     const SelectionResult full_sample =
-        Greedy(f, nullptr, Stochastic(5, true, true, /*eps=*/0.1,
-                                      /*k=*/1));
+        Greedy(f, nullptr, Stochastic(5, /*eps=*/0.1, /*k=*/1));
     EXPECT_EQ(full_sample.selected, exact.selected) << "round " << round;
     EXPECT_DOUBLE_EQ(full_sample.profit, exact.profit);
   }
@@ -282,10 +286,10 @@ TEST(StochasticGreedyTest, OracleCallsBoundedBySampleBudget) {
       internal::StochasticSampleSize(40, 5, 0.1);
   ASSERT_LT(sample_size, 40u);
 
-  const SelectionResult eager =
-      Greedy(f, nullptr, GreedyOptions{/*lazy=*/false});
+  const ForcedPathOracle eager_oracle(f, ForcedPath::kEager);
+  const SelectionResult eager = Greedy(eager_oracle);
   const SelectionResult stochastic =
-      Greedy(f, nullptr, Stochastic(13, /*lazy=*/false, true, 0.1, 5));
+      Greedy(eager_oracle, nullptr, Stochastic(13, 0.1, 5));
   const std::uint64_t rounds = stochastic.selected.size() + 1;
   EXPECT_LE(stochastic.oracle_calls, 1 + rounds * sample_size);
   EXPECT_LT(stochastic.oracle_calls, eager.oracle_calls);
@@ -356,13 +360,12 @@ TEST(BudgetedStochasticTest, LazyAndEagerSelectIdentically) {
     std::vector<double> costs(20);
     for (auto& c : costs) c = rng.UniformDouble(0.5, 2.0);
     CoverageGainCost oracle(std::move(gain), costs, /*budget=*/5.0);
-    BudgetedGreedyOptions lazy;
-    lazy.stochastic = true;
-    lazy.stochastic_seed = 3;
-    BudgetedGreedyOptions eager = lazy;
-    eager.lazy = false;
-    const SelectionResult a = BudgetedGreedy(oracle, lazy);
-    const SelectionResult b = BudgetedGreedy(oracle, eager);
+    BudgetedGreedyOptions options;
+    options.stochastic = true;
+    options.stochastic_seed = 3;
+    const SelectionResult a = BudgetedGreedy(oracle, options);
+    const SelectionResult b = BudgetedGreedy(
+        ForcedPathOracle(oracle, ForcedPath::kEager), options);
     EXPECT_EQ(a.selected, b.selected) << "round " << round;
     EXPECT_DOUBLE_EQ(a.profit, b.profit);
   }
@@ -393,8 +396,8 @@ TEST(BudgetedStochasticTest, SingletonSafeguardStillApplies) {
 }
 
 /// Real-estimator fixture (mirrors budgeted_greedy_test): ProfitOracle
-/// supports incremental contexts, so this is where the full lazy x
-/// incremental grid is exercised end to end.
+/// supports incremental contexts and is submodular here, so this is where
+/// the full lazy x incremental grid is exercised end to end.
 class EstimatorStochasticTest : public ::testing::Test {
  protected:
   static constexpr TimePoint kT0 = 150;
@@ -464,34 +467,26 @@ TEST_F(EstimatorStochasticTest, IdenticalSelectionsAcrossScoringModes) {
   // values to selection-identical precision on this instance.
   ProfitOracle oracle = MakeOracle();
   ASSERT_TRUE(oracle.supports_incremental());
-  std::vector<SourceHandle> reference;
-  bool first = true;
-  for (bool lazy : {true, false}) {
-    for (bool incremental : {true, false}) {
-      const SelectionResult result = Greedy(
-          oracle, nullptr,
-          Stochastic(29, lazy, incremental, /*eps=*/0.2, /*k=*/3));
-      if (first) {
-        reference = result.selected;
-        first = false;
-        EXPECT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(result.selected, reference)
-            << "lazy=" << lazy << " incremental=" << incremental;
-      }
-    }
+  ASSERT_TRUE(oracle.submodular());
+  const std::vector<SourceHandle> reference =
+      Greedy(oracle, nullptr, Stochastic(29, /*eps=*/0.2, /*k=*/3)).selected;
+  EXPECT_FALSE(reference.empty());
+  for (ForcedPath path :
+       {ForcedPath::kEager, ForcedPath::kPlain, ForcedPath::kEagerPlain}) {
+    const SelectionResult result =
+        Greedy(ForcedPathOracle(oracle, path), nullptr,
+               Stochastic(29, /*eps=*/0.2, /*k=*/3));
+    EXPECT_EQ(result.selected, reference)
+        << "path " << static_cast<int>(path);
   }
 }
 
 TEST_F(EstimatorStochasticTest, StochasticSpendsFewerOracleCalls) {
   ProfitOracle oracle = MakeOracle();
-  const SelectionResult exact =
-      Greedy(oracle, nullptr,
-             GreedyOptions{/*lazy=*/false, /*incremental=*/false});
+  const ForcedPathOracle reference(oracle, ForcedPath::kEagerPlain);
+  const SelectionResult exact = Greedy(reference);
   const SelectionResult stochastic =
-      Greedy(oracle, nullptr,
-             Stochastic(29, /*lazy=*/false, /*incremental=*/false,
-                        /*eps=*/0.3, /*k=*/3));
+      Greedy(reference, nullptr, Stochastic(29, /*eps=*/0.3, /*k=*/3));
   EXPECT_LT(stochastic.oracle_calls, exact.oracle_calls);
   EXPECT_GE(stochastic.profit, 0.8 * exact.profit);
 }

@@ -53,7 +53,6 @@ std::string SeedRequest(Rng& rng) {
       params.seed = static_cast<std::int64_t>(rng.Next() >> 11);
       if (rng.NextBounded(2) == 0) params.seed = -params.seed;
       params.threads = 1 + static_cast<std::int64_t>(rng.NextBounded(64));
-      params.lazy = rng.NextBounded(2) == 0;
       params.stochastic = rng.NextBounded(2) == 0;
       params.stochastic_epsilon =
           0.0625 * static_cast<double>(1 + rng.NextBounded(15));
@@ -150,8 +149,7 @@ TEST(ProtocolFuzzTest, TypeConfusionOnEveryKnownField) {
                           "stride",      "budget",
                           "max_divisor", "kappa",
                           "restarts",    "seed",
-                          "threads",     "lazy",
-                          "incremental", "stochastic",
+                          "threads",     "stochastic",
                           "stochastic_epsilon",
                           "fast_math",   "roster",
                           "report"};

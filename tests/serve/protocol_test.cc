@@ -73,8 +73,6 @@ TEST(ProtocolParseTest, QueryDefaultsMatchBatchSelectDefaults) {
   EXPECT_EQ(q.restarts, 20);
   EXPECT_EQ(q.seed, 42);
   EXPECT_EQ(q.threads, 1);
-  EXPECT_TRUE(q.lazy);
-  EXPECT_TRUE(q.incremental);
   EXPECT_FALSE(q.stochastic);
   EXPECT_DOUBLE_EQ(q.stochastic_epsilon, 0.1);
   EXPECT_FALSE(q.fast_math);
@@ -87,8 +85,8 @@ TEST(ProtocolParseTest, QueryWithEveryField) {
       R"({"op":"query","id":7,"scenario":"web-3.1","metric":"mix",)"
       R"("gain":"quad","algorithm":"budgeted","t0":90,"points":4,)"
       R"("stride":14,"budget":0.4,"max_divisor":3,"kappa":2,)"
-      R"("restarts":5,"seed":-9,"threads":8,"lazy":false,)"
-      R"("incremental":false,"stochastic":true,"stochastic_epsilon":0.25,)"
+      R"("restarts":5,"seed":-9,"threads":8,)"
+      R"("stochastic":true,"stochastic_epsilon":0.25,)"
       R"("fast_math":true,"roster":["a","b"],"report":true})");
   const QueryParams& q = request.query;
   EXPECT_TRUE(request.has_id);
@@ -106,8 +104,6 @@ TEST(ProtocolParseTest, QueryWithEveryField) {
   EXPECT_EQ(q.restarts, 5);
   EXPECT_EQ(q.seed, -9);
   EXPECT_EQ(q.threads, 8);
-  EXPECT_FALSE(q.lazy);
-  EXPECT_FALSE(q.incremental);
   EXPECT_TRUE(q.stochastic);
   EXPECT_DOUBLE_EQ(q.stochastic_epsilon, 0.25);
   EXPECT_TRUE(q.fast_math);
@@ -154,6 +150,19 @@ TEST(ProtocolParseTest, RejectsUnknownFieldsNamingTheOffender) {
   ExpectParseErr(R"({"op":"list","dir":"/x"})");
 }
 
+TEST(ProtocolParseTest, RejectsRemovedAccelerationFlags) {
+  // CELF and incremental scoring follow from the oracle, not the request;
+  // the former "lazy" and "incremental" knobs are unknown fields now.
+  for (const char* field : {"lazy", "incremental"}) {
+    const Status status = ParseErr(std::string(R"({"op":"query",")") +
+                                   field + R"(":false})");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.message().find(std::string("unknown field '") + field),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(ProtocolParseTest, RejectsDuplicateKeys) {
   const Status status =
       ParseErr(R"({"op":"query","budget":0.4,"budget":0.9})");
@@ -165,7 +174,7 @@ TEST(ProtocolParseTest, RejectsDuplicateKeys) {
 TEST(ProtocolParseTest, RejectsTypeConfusion) {
   ExpectParseErr(R"({"op":"query","budget":"0.4"})");
   ExpectParseErr(R"({"op":"query","scenario":17})");
-  ExpectParseErr(R"({"op":"query","lazy":"yes"})");
+  ExpectParseErr(R"({"op":"query","stochastic":"yes"})");
   ExpectParseErr(R"({"op":"query","points":true})");
   ExpectParseErr(R"({"op":"query","roster":"s1"})");
   ExpectParseErr(R"({"op":"query","roster":[1]})");
@@ -275,8 +284,7 @@ bool SameParams(const QueryParams& a, const QueryParams& b) {
           a.budget == b.budget) &&
          a.max_divisor == b.max_divisor && a.kappa == b.kappa &&
          a.restarts == b.restarts && a.seed == b.seed &&
-         a.threads == b.threads && a.lazy == b.lazy &&
-         a.incremental == b.incremental && a.stochastic == b.stochastic &&
+         a.threads == b.threads && a.stochastic == b.stochastic &&
          a.stochastic_epsilon == b.stochastic_epsilon &&
          a.fast_math == b.fast_math && a.roster == b.roster &&
          a.include_report == b.include_report;
@@ -305,8 +313,6 @@ TEST(ProtocolRoundTripTest, RichQueryParamsSurviveSerialization) {
   params.restarts = 7;
   params.seed = -1234567;
   params.threads = 16;
-  params.lazy = false;
-  params.incremental = false;
   params.stochastic = true;
   params.stochastic_epsilon = 0.5;
   params.fast_math = true;
