@@ -349,8 +349,6 @@ Result<serve::QueryParams> ReadQueryParams(const ArgMap& args) {
     return Status::InvalidArgument(
         "--stochastic-epsilon must be in (0, 1)");
   }
-  FRESHSEL_ASSIGN_OR_RETURN(params.fast_math,
-                            args.GetBool("fast-math-kernels", false));
   const std::string roster_flag = args.GetString("roster", "");
   if (!roster_flag.empty()) {
     params.roster = Split(roster_flag, ',');
@@ -435,8 +433,6 @@ int RunMain(int argc, const char* const* argv, std::ostream& out,
            "--seed S --threads T\n"
         << "                --stochastic (sampled greedy rounds, "
            "--stochastic-epsilon E, seeded by --seed)\n"
-        << "                --fast-math-kernels (SIMD reductions in the "
-           "estimator; small bounded deviation)\n"
         << "                --roster s1,s2,... (restrict selection to named "
            "sources)]\n"
         << "  serve        --dir DIR [--socket PATH | --host H --port N] "

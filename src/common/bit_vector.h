@@ -11,6 +11,11 @@ namespace freshsel {
 /// (Section 4.2.1): one bit per global entity id, with fast word-wise union
 /// and popcount. All signatures over the same entity dictionary share one
 /// width, so unions never resize.
+///
+/// The word loops behind Count, OrWith, IntersectCount, UnionCount and
+/// UnionCountOf are dispatched at run time to an x86-64-v3 copy (hardware
+/// popcount, AVX2) when the CPU has one; both copies give the same results
+/// (common/simd.h).
 class BitVector {
  public:
   BitVector() = default;
@@ -79,6 +84,9 @@ class BitVector {
                            std::size_t size);
 
  private:
+  /// Per-ISA copies of the word loops (bit_vector.cc).
+  struct Kernels;
+
   static constexpr std::size_t kBitsPerWord = 64;
   static std::size_t WordCountFor(std::size_t bits) {
     return (bits + kBitsPerWord - 1) / kBitsPerWord;

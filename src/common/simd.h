@@ -3,42 +3,43 @@
 
 #include <cstddef>
 
-/// Portable SIMD kernels for the estimator hot loops (DESIGN.md §13).
+/// Vector code paths for the signature and estimator hot loops
+/// (DESIGN.md §13).
 ///
-/// The backend is selected at configure time from what the compiler's
-/// target ISA provides (CMake `FRESHSEL_SIMD`):
-///   - `-DFRESHSEL_SIMD=avx2`   adds -mavx2 -mfma; `__AVX2__` picks AVX2.
-///   - `-DFRESHSEL_SIMD=scalar` defines FRESHSEL_SIMD_FORCE_SCALAR and
-///     forces the portable loops even on a vector-capable target (the CI
-///     fallback entry).
-///   - `-DFRESHSEL_SIMD=auto`   (default) uses whatever `__AVX2__` /
-///     `__ARM_NEON` the toolchain already targets.
-/// Runtime dispatch was deliberately left out: the estimator tables are
-/// built per process and every deployment compiles for a known fleet ISA,
-/// so a configure-time choice keeps the kernels branch-free.
+/// x86-64 builds dispatch at run time. Each hot function
+/// (`BitVector::{Count, UnionCount, IntersectCount, UnionCountOf, OrWith}`,
+/// the estimator's miss-product multiply and expectation fold, and
+/// `EvalContext::Push`) is compiled twice from one `always_inline` body:
+/// a default copy for the ISA the build targets, and a `FRESHSEL_TARGET_V3`
+/// copy for x86-64-v3 (AVX2, FMA, BMI, POPCNT). The v3 copy gets the
+/// hardware popcount and wider auto-vectorized elementwise loops; nothing
+/// else differs. `V3Selected()` checks the CPU once per process
+/// (`__builtin_cpu_supports`), and every dispatched call goes through a
+/// function pointer picked by `FRESHSEL_SIMD_PICK`.
 ///
-/// Two kinds of kernels, with different exactness contracts:
+/// Both copies publish the same bits. The whole tree builds with
+/// `-ffp-contract=off`, so the v3 copy never fuses a multiply-add that the
+/// default copy rounds twice, and without `-ffast-math` the compiler keeps
+/// every reduction in scalar order (it vectorizes only lane-independent
+/// elementwise work). `ScopedDefaultIsa` lets one binary run both copies,
+/// which is how the tests compare them and the kernel gate times them.
 ///
-/// *Elementwise* kernels (`MulInPlace`, `MulInPlaceFloored`) perform one
-/// IEEE operation per lane with no cross-lane interaction, so the
-/// vectorized results are bit-identical to the scalar loop on every
-/// backend. The exact estimation path uses them freely.
+/// Why not `target_clones` or ifunc: an ifunc resolver runs during
+/// relocation, before the sanitizer runtimes are initialized, and a
+/// `target_clones` program segfaults at startup under GCC 12
+/// `-fsanitize=thread` (the CI tsan entry). A pointer chosen by ordinary
+/// code runs cleanly under every sanitizer.
 ///
-/// *Reduction* kernels (`DotOneMinus*`, `ScaledSumOneMinus*`) re-associate
-/// the accumulation into vector lanes (4 partial sums + a horizontal fold
-/// on AVX2), which perturbs the result by at most a few ulps per element
-/// (|Δ| <= n · eps · Σ|terms|, the standard reordered-summation bound).
-/// They are only used behind `QualityEstimator::Options::fast_math_kernels`
-/// (CLI `--fast-math-kernels`); the default exact path keeps the original
-/// scalar-order accumulation for bit-identity. `freshsel::simd::scalar`
-/// always provides the reference implementations so the kernel-equivalence
-/// tests can compare the active backend against scalar order on any build.
+/// `-DFRESHSEL_SIMD=scalar` defines FRESHSEL_SIMD_FORCE_SCALAR and compiles
+/// no v3 copies, so the default copies are tested on their own (the CI
+/// release-scalar entry). aarch64 builds compile the NEON elementwise
+/// kernels below in directly, without dispatch.
 #if defined(FRESHSEL_SIMD_FORCE_SCALAR)
 #define FRESHSEL_SIMD_BACKEND_NAME "scalar"
-#elif defined(__AVX2__)
-#define FRESHSEL_SIMD_BACKEND_AVX2 1
-#define FRESHSEL_SIMD_BACKEND_NAME "avx2"
-#include <immintrin.h>
+#elif defined(__x86_64__) && defined(__GNUC__)
+#define FRESHSEL_SIMD_DISPATCH 1
+#define FRESHSEL_SIMD_BACKEND_NAME "scalar"
+#define FRESHSEL_TARGET_V3 [[gnu::target("arch=x86-64-v3")]]
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 #define FRESHSEL_SIMD_BACKEND_NEON 1
 #define FRESHSEL_SIMD_BACKEND_NAME "neon"
@@ -47,21 +48,47 @@
 #define FRESHSEL_SIMD_BACKEND_NAME "scalar"
 #endif
 
-namespace freshsel::simd {
-
-/// Compile-time backend id, surfaced by the benches and the CI gates so a
-/// run's provenance is visible in its metrics.
-inline constexpr const char* kBackendName = FRESHSEL_SIMD_BACKEND_NAME;
-inline constexpr bool kVectorized =
-#if defined(FRESHSEL_SIMD_BACKEND_AVX2) || defined(FRESHSEL_SIMD_BACKEND_NEON)
-    true;
+/// The copy of a dispatched function to call: `v3_fn` when UseV3(), else
+/// `default_fn`. Without dispatch `v3_fn` is never named, so it need not be
+/// compiled.
+#if defined(FRESHSEL_SIMD_DISPATCH)
+#define FRESHSEL_SIMD_PICK(default_fn, v3_fn) \
+  (::freshsel::simd::UseV3() ? &(v3_fn) : &(default_fn))
 #else
-    false;
+#define FRESHSEL_SIMD_PICK(default_fn, v3_fn) (&(default_fn))
 #endif
 
+namespace freshsel::simd {
+
+/// True when this process runs the x86-64-v3 copies: the build compiled
+/// them in and the CPU supports x86-64-v3. Decided once, on first call.
+bool V3Selected();
+
+/// True when dispatched functions run their v3 copies right now:
+/// V3Selected() and no ScopedDefaultIsa is alive.
+bool UseV3();
+
+/// While alive, dispatched functions run their default-ISA copies, so one
+/// binary can compare and time both. Process-wide; for tests and benches.
+class ScopedDefaultIsa {
+ public:
+  ScopedDefaultIsa();
+  ~ScopedDefaultIsa();
+  ScopedDefaultIsa(const ScopedDefaultIsa&) = delete;
+  ScopedDefaultIsa& operator=(const ScopedDefaultIsa&) = delete;
+};
+
+/// The path chosen at startup: "avx2" when the v3 copies run, else the
+/// compiled-in backend ("neon" or "scalar"). Surfaced by the benches and
+/// the CI gates so a run's provenance is visible in its metrics.
+inline const char* const kBackendName =
+    V3Selected() ? "avx2" : FRESHSEL_SIMD_BACKEND_NAME;
+
 // ---------------------------------------------------------------------------
-// Scalar reference implementations. Exact scalar-order semantics; the
-// kernel-equivalence suite measures every backend against these.
+// Elementwise miss-product kernels. One IEEE operation per lane with no
+// cross-lane interaction, so every backend is bit-identical to the scalar
+// reference, which is always compiled under `simd::scalar` so the tests can
+// check the active backend against it on any build.
 
 namespace scalar {
 
@@ -81,212 +108,11 @@ inline void MulInPlaceFloored(double* dst, const double* src, std::size_t n,
   }
 }
 
-/// sum over i of w[i] * (1 - m[i]), accumulated in index order.
-inline double DotOneMinus(const double* w, const double* m, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += w[i] * (1.0 - m[i]);
-  return acc;
-}
-
-/// sum over i of w[i] * (1 - m[i] * c[i]), accumulated in index order
-/// (the with-candidate delta form: c is the candidate's factor array).
-inline double DotOneMinusMul(const double* w, const double* m,
-                             const double* c, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += w[i] * (1.0 - m[i] * c[i]);
-  return acc;
-}
-
-/// sum over i of scale * (1 - m[i]); `scale` multiplies per term, matching
-/// the fused accumulation the exact path performs.
-inline double ScaledSumOneMinus(double scale, const double* m,
-                                std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += scale * (1.0 - m[i]);
-  return acc;
-}
-
-/// sum over i of scale * (1 - m[i] * c[i]).
-inline double ScaledSumOneMinusMul(double scale, const double* m,
-                                   const double* c, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += scale * (1.0 - m[i] * c[i]);
-  return acc;
-}
-
 }  // namespace scalar
 
-// ---------------------------------------------------------------------------
-// AVX2 backend: 4 doubles per operation, FMA accumulation where the
-// toolchain provides it (-mfma; FRESHSEL_SIMD=avx2 always does).
-
-#if defined(FRESHSEL_SIMD_BACKEND_AVX2)
-
-namespace detail {
-
-inline double HorizontalSum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(sum2, sum2);
-  return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
-}
-
-inline __m256d FusedMulAdd(__m256d a, __m256d b, __m256d acc) {
-#if defined(__FMA__)
-  return _mm256_fmadd_pd(a, b, acc);
-#else
-  return _mm256_add_pd(_mm256_mul_pd(a, b), acc);
-#endif
-}
-
-}  // namespace detail
-
-inline void MulInPlace(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
-}
-
-inline void MulInPlaceFloored(double* dst, const double* src, std::size_t n,
-                              double floor) {
-  const __m256d f = _mm256_set1_pd(floor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(dst + i),
-                                    _mm256_loadu_pd(src + i));
-    _mm256_storeu_pd(dst + i, _mm256_max_pd(p, f));
-  }
-  for (; i < n; ++i) {
-    const double p = dst[i] * src[i];
-    dst[i] = p > floor ? p : floor;
-  }
-}
-
-// The reductions run 4 independent accumulators (16 doubles per
-// iteration): a single FMA chain is bound by the FMA's ~4-cycle latency,
-// while 4 chains keep both FMA ports busy and quadruple throughput on the
-// estimator's |t - t0|-length folds. The extra reassociation is covered by
-// the same reordered-summation bound the tests assert.
-
-inline double DotOneMinus(const double* w, const double* m, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-    acc1 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 4),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 4)), acc1);
-    acc2 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 8),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 8)), acc2);
-    acc3 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i + 12),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 12)), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = detail::FusedMulAdd(
-        _mm256_loadu_pd(w + i),
-        _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-  }
-  double out = detail::HorizontalSum(
-      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i]);
-  return out;
-}
-
-inline double DotOneMinusMul(const double* w, const double* m,
-                             const double* c, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d miss0 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(_mm256_loadu_pd(w + i),
-                               _mm256_sub_pd(one, miss0), acc0);
-    const __m256d miss1 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i + 4), _mm256_loadu_pd(c + i + 4));
-    acc1 = detail::FusedMulAdd(_mm256_loadu_pd(w + i + 4),
-                               _mm256_sub_pd(one, miss1), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d miss =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(_mm256_loadu_pd(w + i),
-                               _mm256_sub_pd(one, miss), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i] * c[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinus(double scale, const double* m,
-                                std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d s = _mm256_set1_pd(scale);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-    acc1 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i + 4)), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = detail::FusedMulAdd(
-        s, _mm256_sub_pd(one, _mm256_loadu_pd(m + i)), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += scale * (1.0 - m[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinusMul(double scale, const double* m,
-                                   const double* c, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d s = _mm256_set1_pd(scale);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d miss0 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss0), acc0);
-    const __m256d miss1 =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i + 4), _mm256_loadu_pd(c + i + 4));
-    acc1 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss1), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d miss =
-        _mm256_mul_pd(_mm256_loadu_pd(m + i), _mm256_loadu_pd(c + i));
-    acc0 = detail::FusedMulAdd(s, _mm256_sub_pd(one, miss), acc0);
-  }
-  double out = detail::HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) out += scale * (1.0 - m[i] * c[i]);
-  return out;
-}
-
-#elif defined(FRESHSEL_SIMD_BACKEND_NEON)
+#if defined(FRESHSEL_SIMD_BACKEND_NEON)
 
 // NEON backend: 2 doubles per operation (aarch64 float64x2_t).
-
-namespace detail {
-
-inline double HorizontalSum(float64x2_t v) { return vaddvq_f64(v); }
-
-}  // namespace detail
 
 inline void MulInPlace(double* dst, const double* src, std::size_t n) {
   std::size_t i = 0;
@@ -311,73 +137,13 @@ inline void MulInPlaceFloored(double* dst, const double* src, std::size_t n,
   }
 }
 
-inline double DotOneMinus(const double* w, const double* m, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vfmaq_f64(acc, vld1q_f64(w + i),
-                    vsubq_f64(one, vld1q_f64(m + i)));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i]);
-  return out;
-}
-
-inline double DotOneMinusMul(const double* w, const double* m,
-                             const double* c, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t miss = vmulq_f64(vld1q_f64(m + i), vld1q_f64(c + i));
-    acc = vfmaq_f64(acc, vld1q_f64(w + i), vsubq_f64(one, miss));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += w[i] * (1.0 - m[i] * c[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinus(double scale, const double* m,
-                                std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t s = vdupq_n_f64(scale);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vfmaq_f64(acc, s, vsubq_f64(one, vld1q_f64(m + i)));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += scale * (1.0 - m[i]);
-  return out;
-}
-
-inline double ScaledSumOneMinusMul(double scale, const double* m,
-                                   const double* c, std::size_t n) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t s = vdupq_n_f64(scale);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t miss = vmulq_f64(vld1q_f64(m + i), vld1q_f64(c + i));
-    acc = vfmaq_f64(acc, s, vsubq_f64(one, miss));
-  }
-  double out = detail::HorizontalSum(acc);
-  for (; i < n; ++i) out += scale * (1.0 - m[i] * c[i]);
-  return out;
-}
-
 #else
 
-// Scalar backend (forced or no vector ISA): the reference implementations
-// are the active ones.
+// x86-64 and other targets: the scalar loops, which the v3 copies of their
+// callers auto-vectorize.
 
-using scalar::DotOneMinus;
-using scalar::DotOneMinusMul;
 using scalar::MulInPlace;
 using scalar::MulInPlaceFloored;
-using scalar::ScaledSumOneMinus;
-using scalar::ScaledSumOneMinusMul;
 
 #endif
 

@@ -108,13 +108,20 @@ Result<QualityEstimator::SourceHandle> QualityEstimator::AddSource(
   src.up = BitVector(compact_size_);
   src.cov = BitVector(compact_size_);
   src.all = BitVector(compact_size_);
-  // Compact the full-width signatures to the restricted domain.
-  for (std::size_t slot = 0; slot < compact_to_entity_.size(); ++slot) {
-    const world::EntityId id = compact_to_entity_[slot];
-    if (profile->sig_t0.up.Test(id)) src.up.Set(slot);
-    if (profile->sig_t0.cov.Test(id)) src.cov.Set(slot);
-    if (profile->sig_t0.all.Test(id)) src.all.Set(slot);
-  }
+  // Compact the full-width signatures to the restricted domain by walking
+  // their set bits, so the cost follows the signatures' population rather
+  // than the domain size. Ids past the world (a signature may be wider)
+  // and ids outside the restricted domain (slot -1) are skipped.
+  const auto compact = [this](const BitVector& full, BitVector& out) {
+    full.VisitSetBits([&](std::size_t id) {
+      if (id >= entity_to_compact_.size()) return;
+      const std::int32_t slot = entity_to_compact_[id];
+      if (slot >= 0) out.Set(static_cast<std::size_t>(slot));
+    });
+  };
+  compact(profile->sig_t0.up, src.up);
+  compact(profile->sig_t0.cov, src.cov);
+  compact(profile->sig_t0.all, src.all);
   src.coverage_t0 =
       count_t0_ > 0 ? static_cast<double>(src.cov.Count()) /
                           static_cast<double>(count_t0_)
@@ -286,129 +293,132 @@ void QualityEstimator::ReleaseScratch(Scratch&& scratch) const {
   sync_->scratch_pool.push_back(std::move(scratch));
 }
 
-void QualityEstimator::MultiplyMissFactors(const RegisteredSource& src,
-                                           SourceHandle handle,
-                                           std::size_t t_index,
-                                           const TimeTable& table,
-                                           Scratch& scratch) const {
-  const std::size_t steps = table.steps;
-  const bool backlog = !scratch.back_t0.empty();
-  double* mi = scratch.miss_ins.data();
-  double* md = scratch.miss_del.data();
-  double* mu = scratch.miss_upd.data();
-  if (options_.cache_effectiveness && t_index != kNoTimeIndex) {
-    // Elementwise kernels: lane-independent IEEE ops, so every backend is
-    // bit-identical to the scalar loop they replace (see common/simd.h).
-    // The floor is the underflow fix - see kMissProductFloor.
-    const SourceTimeTable& st = SourceTableFor(handle, t_index);
-    simd::MulInPlaceFloored(mi, st.fac_ins.data(), steps, kMissProductFloor);
-    simd::MulInPlaceFloored(md, st.fac_del.data(), steps, kMissProductFloor);
-    simd::MulInPlaceFloored(mu, st.fac_upd.data(), steps, kMissProductFloor);
-    if (backlog) {
-      const std::size_t t0_steps = scratch.back_t0.size();
-      simd::MulInPlaceFloored(scratch.back_t0.data(),
-                              src.backlog_fac_t0.data(), t0_steps,
+/// The dispatched evaluation loops. Each `*Body` is the one implementation;
+/// the `*Default` and `*V3` copies compile it for the build's ISA and for
+/// x86-64-v3, and the entry points call the copy FRESHSEL_SIMD_PICK selects
+/// (common/simd.h).
+struct QualityEstimator::Kernels {
+  /// The per-tau miss-product arrays one evaluation folds. The backlog
+  /// arrays are null when the capture backlog is off (or the set is empty).
+  struct MissProducts {
+    const double* ins = nullptr;
+    const double* del = nullptr;
+    const double* upd = nullptr;
+    const double* back_t0 = nullptr;
+    const double* back_t = nullptr;
+  };
+
+  /// The product arrays of a full evaluation's scratch; the backlog arrays
+  /// only when `backlog` (they are stale otherwise).
+  static MissProducts FullProducts(const Scratch& scratch, bool backlog) {
+    return {scratch.miss_ins.data(), scratch.miss_del.data(),
+            scratch.miss_upd.data(),
+            backlog ? scratch.back_t0.data() : nullptr,
+            backlog ? scratch.back_t.data() : nullptr};
+  }
+
+  /// Multiplies `handle`'s miss factors at `table` into the scratch product
+  /// arrays, from the memo when `t_index` is a registered eval time,
+  /// recomputed ad hoc otherwise.
+  [[gnu::always_inline]] static void MultiplyMissFactorsBody(
+      const QualityEstimator& est, SourceHandle handle, std::size_t t_index,
+      const TimeTable& table, Scratch& scratch) {
+    const RegisteredSource& src = est.sources_[handle];
+    const std::size_t steps = table.steps;
+    const bool backlog = !scratch.back_t0.empty();
+    double* mi = scratch.miss_ins.data();
+    double* md = scratch.miss_del.data();
+    double* mu = scratch.miss_upd.data();
+    if (t_index != kNoTimeIndex) {
+      // Elementwise kernels: lane-independent IEEE ops, so every backend
+      // is bit-identical to the scalar loop (see common/simd.h). The floor
+      // is the underflow fix - see kMissProductFloor.
+      const SourceTimeTable& st = est.SourceTableFor(handle, t_index);
+      simd::MulInPlaceFloored(mi, st.fac_ins.data(), steps,
                               kMissProductFloor);
-      simd::MulInPlaceFloored(scratch.back_t.data(), st.backlog_fac_t.data(),
-                              t0_steps, kMissProductFloor);
+      simd::MulInPlaceFloored(md, st.fac_del.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(mu, st.fac_upd.data(), steps,
+                              kMissProductFloor);
+      if (backlog) {
+        const std::size_t t0_steps = scratch.back_t0.size();
+        simd::MulInPlaceFloored(scratch.back_t0.data(),
+                                src.backlog_fac_t0.data(), t0_steps,
+                                kMissProductFloor);
+        simd::MulInPlaceFloored(scratch.back_t.data(),
+                                st.backlog_fac_t.data(), t0_steps,
+                                kMissProductFloor);
+      }
+      return;
     }
-    return;
-  }
-  // Uncached time point (or caching ablated): fold the factors in without
-  // materializing a table. The per-factor arithmetic (including the
-  // max-with-floor) is identical to the cached path, so cached and
-  // uncached evaluations agree bit for bit.
-  const SourceProfile& p = *src.profile;
-  const double td = static_cast<double>(table.t);
-  for (std::size_t i = 0; i < steps; ++i) {
-    const double tau = static_cast<double>(t0_ + 1 + static_cast<TimePoint>(i));
-    mi[i] = std::max(
-        mi[i] * (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
-        kMissProductFloor);
-    md[i] = std::max(
-        md[i] * (1.0 - src.coverage_t0 *
-                           p.Effectiveness(p.g_delete, td, tau, src.divisor)),
-        kMissProductFloor);
-    mu[i] = std::max(
-        mu[i] * (1.0 - src.coverage_t0 *
-                           p.Effectiveness(p.g_update, td, tau, src.divisor)),
-        kMissProductFloor);
-  }
-  if (backlog) {
-    double* s0 = scratch.back_t0.data();
-    double* st_out = scratch.back_t.data();
-    const double* b0 = src.backlog_fac_t0.data();
-    const std::size_t t0_steps = scratch.back_t0.size();
-    for (std::size_t j = 0; j < t0_steps; ++j) {
-      const double tau = static_cast<double>(j + 1);
-      s0[j] = std::max(s0[j] * b0[j], kMissProductFloor);
-      st_out[j] = std::max(
-          st_out[j] *
-              (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
+    // Unregistered time point: fold the factors in without materializing a
+    // table. The per-factor arithmetic (including the max-with-floor) is
+    // identical to the memoized path, so both agree bit for bit.
+    const SourceProfile& p = *src.profile;
+    const double td = static_cast<double>(table.t);
+    for (std::size_t i = 0; i < steps; ++i) {
+      const double tau =
+          static_cast<double>(est.t0_ + 1 + static_cast<TimePoint>(i));
+      mi[i] = std::max(
+          mi[i] * (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
+          kMissProductFloor);
+      md[i] = std::max(
+          md[i] * (1.0 - src.coverage_t0 * p.Effectiveness(p.g_delete, td,
+                                                           tau, src.divisor)),
+          kMissProductFloor);
+      mu[i] = std::max(
+          mu[i] * (1.0 - src.coverage_t0 * p.Effectiveness(p.g_update, td,
+                                                           tau, src.divisor)),
           kMissProductFloor);
     }
-  }
-}
-
-template <bool kWithCandidate>
-EstimatedQuality QualityEstimator::EvaluateFromProducts(
-    const TimeTable& table, double up0, double cov0, double all0,
-    bool set_empty, const double* miss_ins, const double* miss_del,
-    const double* miss_upd, const double* back_t0, const double* back_t,
-    const SourceTimeTable* cand, const RegisteredSource* cand_src) const {
-  static_cast<void>(set_empty);
-  EstimatedQuality q;
-  const SubdomainChangeModel& agg = aggregate_;
-  const std::size_t steps = table.steps;
-
-  // Expectation sums over tau = t0+1 .. t (Eqs. 9-11, 15, 19 and the Up
-  // components). Pure array arithmetic: per-tau miss products (times the
-  // candidate's factors in the delta path) folded against the precomputed
-  // weights; the association matches the unfactored accumulation exactly.
-  double e_ins = 0.0;
-  double e_ins_nosurv = 0.0;
-  double e_del = 0.0;
-  double e_ins_up = 0.0;
-  double e_ex_up = 0.0;
-  const double* w_cov = table.w_cov.data();
-  const double* w_up_ins = table.w_up_ins.data();
-  const double* w_up_upd = table.w_up_upd.data();
-  if (options_.fast_math_kernels) {
-    // Opt-in blocked reductions (vector partial sums + horizontal fold).
-    // Re-associates the accumulation, so results deviate from the exact
-    // path by a bounded amount (tested in kernel_equivalence_test); the
-    // candidate multiply here is unfloored, which is also within the
-    // fast-math deviation bound.
-    if constexpr (kWithCandidate) {
-      const double* ci = cand->fac_ins.data();
-      const double* cd = cand->fac_del.data();
-      const double* cu = cand->fac_upd.data();
-      e_ins = simd::DotOneMinusMul(w_cov, miss_ins, ci, steps);
-      e_ins_nosurv =
-          simd::ScaledSumOneMinusMul(agg.lambda_insert, miss_ins, ci, steps);
-      e_del =
-          simd::ScaledSumOneMinusMul(agg.lambda_disappear, miss_del, cd,
-                                     steps);
-      e_ins_up = simd::DotOneMinusMul(w_up_ins, miss_ins, ci, steps);
-      e_ex_up = simd::DotOneMinusMul(w_up_upd, miss_upd, cu, steps);
-    } else {
-      e_ins = simd::DotOneMinus(w_cov, miss_ins, steps);
-      e_ins_nosurv =
-          simd::ScaledSumOneMinus(agg.lambda_insert, miss_ins, steps);
-      e_del = simd::ScaledSumOneMinus(agg.lambda_disappear, miss_del, steps);
-      e_ins_up = simd::DotOneMinus(w_up_ins, miss_ins, steps);
-      e_ex_up = simd::DotOneMinus(w_up_upd, miss_upd, steps);
+    if (backlog) {
+      double* s0 = scratch.back_t0.data();
+      double* st_out = scratch.back_t.data();
+      const double* b0 = src.backlog_fac_t0.data();
+      const std::size_t t0_steps = scratch.back_t0.size();
+      for (std::size_t j = 0; j < t0_steps; ++j) {
+        const double tau = static_cast<double>(j + 1);
+        s0[j] = std::max(s0[j] * b0[j], kMissProductFloor);
+        st_out[j] = std::max(
+            st_out[j] *
+                (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
+            kMissProductFloor);
+      }
     }
-  } else {
-    // Exact path: single fused loop in scalar order. Kept verbatim so the
-    // reduction association (and therefore every published bit) matches
-    // the pre-kernel implementation. The candidate multiply applies the
-    // same floor as MultiplyMissFactors/Push, so the delta path computes
-    // literally the same op sequence as a full recompute over set+cand.
+  }
+
+  /// The shared tail of every evaluation path: folds per-tau miss products
+  /// (optionally times one candidate source's factors) into the
+  /// expectation sums and the published quality ratios.
+  template <bool kWithCandidate>
+  [[gnu::always_inline]] static EstimatedQuality EvaluateFromProductsBody(
+      const QualityEstimator& est, const TimeTable& table, double up0,
+      double cov0, double all0, const MissProducts& miss,
+      const SourceTimeTable* cand, const RegisteredSource* cand_src) {
+    EstimatedQuality q;
+    const SubdomainChangeModel& agg = est.aggregate_;
+    const std::size_t steps = table.steps;
+
+    // Expectation sums over tau = t0+1 .. t (Eqs. 9-11, 15, 19 and the Up
+    // components): per-tau miss products (times the candidate's factors in
+    // the delta path) folded against the precomputed weights in one loop,
+    // in scalar order, so the association (and therefore every published
+    // bit) matches the unfactored accumulation. The candidate multiply
+    // applies the same floor as MultiplyMissFactors/Push, so the delta
+    // path computes literally the same op sequence as a full recompute
+    // over set+cand.
+    double e_ins = 0.0;
+    double e_ins_nosurv = 0.0;
+    double e_del = 0.0;
+    double e_ins_up = 0.0;
+    double e_ex_up = 0.0;
+    const double* w_cov = table.w_cov.data();
+    const double* w_up_ins = table.w_up_ins.data();
+    const double* w_up_upd = table.w_up_upd.data();
     for (std::size_t i = 0; i < steps; ++i) {
-      double mi = miss_ins[i];
-      double md = miss_del[i];
-      double mu = miss_upd[i];
+      double mi = miss.ins[i];
+      double md = miss.del[i];
+      double mu = miss.upd[i];
       if constexpr (kWithCandidate) {
         mi = std::max(mi * cand->fac_ins[i], kMissProductFloor);
         md = std::max(md * cand->fac_del[i], kMissProductFloor);
@@ -423,81 +433,185 @@ EstimatedQuality QualityEstimator::EvaluateFromProducts(
       e_ins_up += w_up_ins[i] * pr_ins;
       e_ex_up += w_up_upd[i] * pr_upd;
     }
-  }
 
-  // Capture backlog (extension, see Options::model_capture_backlog):
-  // appearances at tau <= t0 captured only after t0. The caller passes
-  // null product arrays when the extension is off (or t <= t0).
-  double e_backlog = 0.0;
-  double e_backlog_up = 0.0;
-  if (back_t0 != nullptr) {
-    const double* w_back = table.w_back.data();
-    const double* w_back_up = table.w_back_up.data();
-    const std::size_t t0_steps = table.w_back.size();
-    for (std::size_t j = 0; j < t0_steps; ++j) {
-      double miss_by_t0 = back_t0[j];
-      double miss_by_t = back_t[j];
-      if constexpr (kWithCandidate) {
-        miss_by_t0 =
-            std::max(miss_by_t0 * cand_src->backlog_fac_t0[j],
-                     kMissProductFloor);
-        miss_by_t =
-            std::max(miss_by_t * cand->backlog_fac_t[j], kMissProductFloor);
+    // Capture backlog (extension, see Options::model_capture_backlog):
+    // appearances at tau <= t0 captured only after t0.
+    double e_backlog = 0.0;
+    double e_backlog_up = 0.0;
+    if (miss.back_t0 != nullptr) {
+      const double* w_back = table.w_back.data();
+      const double* w_back_up = table.w_back_up.data();
+      const std::size_t t0_steps = table.w_back.size();
+      for (std::size_t j = 0; j < t0_steps; ++j) {
+        double miss_by_t0 = miss.back_t0[j];
+        double miss_by_t = miss.back_t[j];
+        if constexpr (kWithCandidate) {
+          miss_by_t0 = std::max(miss_by_t0 * cand_src->backlog_fac_t0[j],
+                                kMissProductFloor);
+          miss_by_t =
+              std::max(miss_by_t * cand->backlog_fac_t[j], kMissProductFloor);
+        }
+        const double pr_late = std::max(miss_by_t0 - miss_by_t, 0.0);
+        if (pr_late <= 0.0) continue;
+        e_backlog += w_back[j] * pr_late;
+        e_backlog_up += w_back_up[j] * pr_late;
       }
-      const double pr_late = std::max(miss_by_t0 - miss_by_t, 0.0);
-      if (pr_late <= 0.0) continue;
-      e_backlog += w_back[j] * pr_late;
-      e_backlog_up += w_back_up[j] * pr_late;
     }
+
+    // Coverage (Eqs. 12-13).
+    const double old_cov = cov0 * table.global_surv_d;
+    const double covered_est = old_cov + e_ins + e_backlog;
+    q.coverage = std::clamp(covered_est / table.expected_world, 0.0, 1.0);
+
+    // Freshness (Eqs. 16-18).
+    const double old_up = up0 * table.global_surv_d * table.global_surv_u;
+    const double expected_up = old_up + e_ins_up + e_ex_up + e_backlog_up;
+    const double inserted_into_result =
+        est.options_.model_ghost_result ? e_ins_nosurv : e_ins;
+    const double expected_result =
+        std::max(all0 + inserted_into_result + e_backlog - e_del,
+                 std::max(expected_up, 0.0));
+    q.expected_world = table.expected_world;
+    q.expected_result = expected_result;
+    q.expected_up = expected_up;
+    q.local_freshness =
+        expected_result > 0.0
+            ? std::clamp(expected_up / expected_result, 0.0, 1.0)
+            : 0.0;
+    q.global_freshness =
+        std::clamp(expected_up / table.expected_world, 0.0, 1.0);
+
+    // Accuracy via Eq. 5, in its count form up / (|Omega| - covered + |F|).
+    const double union_size =
+        std::max(table.expected_world - covered_est + expected_result, 1.0);
+    q.accuracy = std::clamp(expected_up / union_size, 0.0, 1.0);
+    // Post-conditions: every published metric is a probability and every
+    // expectation is finite (Eqs. 12-19 preserve both by construction).
+    FRESHSEL_DCHECK_PROB(q.coverage);
+    FRESHSEL_DCHECK_PROB(q.local_freshness);
+    FRESHSEL_DCHECK_PROB(q.global_freshness);
+    FRESHSEL_DCHECK_PROB(q.accuracy);
+    FRESHSEL_DCHECK_FINITE(q.expected_world);
+    FRESHSEL_DCHECK_FINITE(q.expected_result);
+    FRESHSEL_DCHECK_FINITE(q.expected_up);
+    return q;
   }
 
-  // Coverage (Eqs. 12-13).
-  const double old_cov = cov0 * table.global_surv_d;
-  const double covered_est = old_cov + e_ins + e_backlog;
-  q.coverage = std::clamp(covered_est / table.expected_world, 0.0, 1.0);
+  /// EvalContext::Push: checkpoint, then grow the union signatures and the
+  /// running per-tau miss products by `handle`.
+  [[gnu::always_inline]] static void PushBody(EvalContext& ctx,
+                                              SourceHandle handle) {
+    const QualityEstimator& est = *ctx.est_;
+    // Snapshot first: Pop restores state bit-exactly from the checkpoint
+    // rather than dividing the candidate's factors back out (near-zero
+    // miss products would amplify the rounding error of a divide).
+    EvalContext::Checkpoint cp;
+    cp.up = ctx.up_;
+    cp.cov = ctx.cov_;
+    cp.all = ctx.all_;
+    cp.up0 = ctx.up0_;
+    cp.cov0 = ctx.cov0_;
+    cp.all0 = ctx.all0_;
+    cp.times = ctx.times_;
+    cp.back_t0 = ctx.back_t0_;
+    ctx.checkpoints_.push_back(std::move(cp));
 
-  // Freshness (Eqs. 16-18).
-  const double old_up = up0 * table.global_surv_d * table.global_surv_u;
-  const double expected_up = old_up + e_ins_up + e_ex_up + e_backlog_up;
-  const double inserted_into_result =
-      options_.model_ghost_result ? e_ins_nosurv : e_ins;
-  const double expected_result =
-      std::max(all0 + inserted_into_result + e_backlog - e_del,
-               std::max(expected_up, 0.0));
-  q.expected_world = table.expected_world;
-  q.expected_result = expected_result;
-  q.expected_up = expected_up;
-  q.local_freshness =
-      expected_result > 0.0
-          ? std::clamp(expected_up / expected_result, 0.0, 1.0)
-          : 0.0;
-  q.global_freshness =
-      std::clamp(expected_up / table.expected_world, 0.0, 1.0);
+    const RegisteredSource& src = est.sources_[handle];
+    ctx.up_.OrWith(src.up);
+    ctx.cov_.OrWith(src.cov);
+    ctx.all_.OrWith(src.all);
+    ctx.up0_ = static_cast<double>(ctx.up_.Count());
+    ctx.cov0_ = static_cast<double>(ctx.cov_.Count());
+    ctx.all0_ = static_cast<double>(ctx.all_.Count());
 
-  // Accuracy via Eq. 5, in its count form up / (|Omega| - covered + |F|).
-  const double union_size =
-      std::max(table.expected_world - covered_est + expected_result, 1.0);
-  q.accuracy = std::clamp(expected_up / union_size, 0.0, 1.0);
-  // Post-conditions: every published metric is a probability and every
-  // expectation is finite (Eqs. 12-19 preserve both by construction).
-  FRESHSEL_DCHECK_PROB(q.coverage);
-  FRESHSEL_DCHECK_PROB(q.local_freshness);
-  FRESHSEL_DCHECK_PROB(q.global_freshness);
-  FRESHSEL_DCHECK_PROB(q.accuracy);
-  FRESHSEL_DCHECK_FINITE(q.expected_world);
-  FRESHSEL_DCHECK_FINITE(q.expected_result);
-  FRESHSEL_DCHECK_FINITE(q.expected_up);
-  return q;
-}
+    for (std::size_t ti = 0; ti < ctx.times_.size(); ++ti) {
+      EvalContext::TimeState& ts = ctx.times_[ti];
+      const std::size_t steps = ts.miss_ins.size();
+      if (steps == 0 && ts.back_t.empty()) continue;
+      const SourceTimeTable& st = est.SourceTableFor(handle, ti);
+      // Same floored elementwise kernels as MultiplyMissFactors, so the
+      // incremental running products are bit-identical to a full
+      // recompute.
+      simd::MulInPlaceFloored(ts.miss_ins.data(), st.fac_ins.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(ts.miss_del.data(), st.fac_del.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(ts.miss_upd.data(), st.fac_upd.data(), steps,
+                              kMissProductFloor);
+      if (!ts.back_t.empty()) {
+        simd::MulInPlaceFloored(ts.back_t.data(), st.backlog_fac_t.data(),
+                                ts.back_t.size(), kMissProductFloor);
+      }
+    }
+    if (!ctx.back_t0_.empty()) {
+      simd::MulInPlaceFloored(ctx.back_t0_.data(), src.backlog_fac_t0.data(),
+                              ctx.back_t0_.size(), kMissProductFloor);
+    }
+    ctx.pushed_.push_back(handle);
+  }
 
-template EstimatedQuality QualityEstimator::EvaluateFromProducts<false>(
-    const TimeTable&, double, double, double, bool, const double*,
-    const double*, const double*, const double*, const double*,
-    const SourceTimeTable*, const RegisteredSource*) const;
-template EstimatedQuality QualityEstimator::EvaluateFromProducts<true>(
-    const TimeTable&, double, double, double, bool, const double*,
-    const double*, const double*, const double*, const double*,
-    const SourceTimeTable*, const RegisteredSource*) const;
+  static void MultiplyMissFactorsDefault(const QualityEstimator& est,
+                                         SourceHandle handle,
+                                         std::size_t t_index,
+                                         const TimeTable& table,
+                                         Scratch& scratch) {
+    MultiplyMissFactorsBody(est, handle, t_index, table, scratch);
+  }
+  template <bool kWithCandidate>
+  static EstimatedQuality EvaluateFromProductsDefault(
+      const QualityEstimator& est, const TimeTable& table, double up0,
+      double cov0, double all0, const MissProducts& miss,
+      const SourceTimeTable* cand, const RegisteredSource* cand_src) {
+    return EvaluateFromProductsBody<kWithCandidate>(est, table, up0, cov0,
+                                                    all0, miss, cand,
+                                                    cand_src);
+  }
+  static void PushDefault(EvalContext& ctx, SourceHandle handle) {
+    PushBody(ctx, handle);
+  }
+
+#if defined(FRESHSEL_SIMD_DISPATCH)
+  FRESHSEL_TARGET_V3 static void MultiplyMissFactorsV3(
+      const QualityEstimator& est, SourceHandle handle, std::size_t t_index,
+      const TimeTable& table, Scratch& scratch) {
+    MultiplyMissFactorsBody(est, handle, t_index, table, scratch);
+  }
+  template <bool kWithCandidate>
+  FRESHSEL_TARGET_V3 static EstimatedQuality EvaluateFromProductsV3(
+      const QualityEstimator& est, const TimeTable& table, double up0,
+      double cov0, double all0, const MissProducts& miss,
+      const SourceTimeTable* cand, const RegisteredSource* cand_src) {
+    return EvaluateFromProductsBody<kWithCandidate>(est, table, up0, cov0,
+                                                    all0, miss, cand,
+                                                    cand_src);
+  }
+  FRESHSEL_TARGET_V3 static void PushV3(EvalContext& ctx,
+                                        SourceHandle handle) {
+    PushBody(ctx, handle);
+  }
+#endif
+
+  // Entry points: call the copy the dispatcher selects.
+  static void MultiplyMissFactors(const QualityEstimator& est,
+                                  SourceHandle handle, std::size_t t_index,
+                                  const TimeTable& table, Scratch& scratch) {
+    FRESHSEL_SIMD_PICK(MultiplyMissFactorsDefault, MultiplyMissFactorsV3)(
+        est, handle, t_index, table, scratch);
+  }
+  template <bool kWithCandidate>
+  static EstimatedQuality EvaluateFromProducts(
+      const QualityEstimator& est, const TimeTable& table, double up0,
+      double cov0, double all0, const MissProducts& miss,
+      const SourceTimeTable* cand = nullptr,
+      const RegisteredSource* cand_src = nullptr) {
+    return FRESHSEL_SIMD_PICK(EvaluateFromProductsDefault<kWithCandidate>,
+                              EvaluateFromProductsV3<kWithCandidate>)(
+        est, table, up0, cov0, all0, miss, cand, cand_src);
+  }
+  static void Push(EvalContext& ctx, SourceHandle handle) {
+    FRESHSEL_SIMD_PICK(PushDefault, PushV3)(ctx, handle);
+  }
+};
 
 EstimatedQuality QualityEstimator::Estimate(
     const std::vector<SourceHandle>& set, TimePoint t) const {
@@ -555,15 +669,12 @@ EstimatedQuality QualityEstimator::Estimate(
     scratch.back_t.clear();
   }
   for (SourceHandle handle : set) {
-    MultiplyMissFactors(sources_[handle], handle, t_index, *table, scratch);
+    Kernels::MultiplyMissFactors(*this, handle, t_index, *table, scratch);
   }
 
   FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-  q = EvaluateFromProducts<false>(
-      *table, up0, cov0, all0, set.empty(), scratch.miss_ins.data(),
-      scratch.miss_del.data(), scratch.miss_upd.data(),
-      backlog ? scratch.back_t0.data() : nullptr,
-      backlog ? scratch.back_t.data() : nullptr, nullptr, nullptr);
+  q = Kernels::EvaluateFromProducts<false>(
+      *this, *table, up0, cov0, all0, Kernels::FullProducts(scratch, backlog));
   ReleaseScratch(std::move(scratch));
   return q;
 }
@@ -608,14 +719,12 @@ void QualityEstimator::EstimateAllTimes(
       scratch.back_t.clear();
     }
     for (SourceHandle handle : set) {
-      MultiplyMissFactors(sources_[handle], handle, ti, table, scratch);
+      Kernels::MultiplyMissFactors(*this, handle, ti, table, scratch);
     }
     FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-    out[ti] = EvaluateFromProducts<false>(
-        table, up0, cov0, all0, set.empty(), scratch.miss_ins.data(),
-        scratch.miss_del.data(), scratch.miss_upd.data(),
-        backlog ? scratch.back_t0.data() : nullptr,
-        backlog ? scratch.back_t.data() : nullptr, nullptr, nullptr);
+    out[ti] = Kernels::EvaluateFromProducts<false>(
+        *this, table, up0, cov0, all0,
+        Kernels::FullProducts(scratch, backlog));
   }
   ReleaseScratch(std::move(scratch));
 }
@@ -648,8 +757,7 @@ EstimatedQuality QualityEstimator::EstimateAverage(
 
 QualityEstimator::EvalContext QualityEstimator::MakeEvalContext() const {
   FRESHSEL_CHECK(SupportsIncremental())
-      << "MakeEvalContext requires cache_effectiveness and at least one "
-         "eval time";
+      << "MakeEvalContext requires at least one eval time";
   return EvalContext(this);
 }
 
@@ -701,52 +809,7 @@ void QualityEstimator::EvalContext::Push(SourceHandle handle) {
   FRESHSEL_CHECK(handle < est_->sources_.size())
       << "unknown source handle " << handle << " (registered: "
       << est_->sources_.size() << ")";
-
-  // Snapshot first: Pop restores state bit-exactly from the checkpoint
-  // rather than dividing the candidate's factors back out (near-zero miss
-  // products would amplify the rounding error of a divide).
-  Checkpoint cp;
-  cp.up = up_;
-  cp.cov = cov_;
-  cp.all = all_;
-  cp.up0 = up0_;
-  cp.cov0 = cov0_;
-  cp.all0 = all0_;
-  cp.times = times_;
-  cp.back_t0 = back_t0_;
-  checkpoints_.push_back(std::move(cp));
-
-  const RegisteredSource& src = est_->sources_[handle];
-  up_.OrWith(src.up);
-  cov_.OrWith(src.cov);
-  all_.OrWith(src.all);
-  up0_ = static_cast<double>(up_.Count());
-  cov0_ = static_cast<double>(cov_.Count());
-  all0_ = static_cast<double>(all_.Count());
-
-  for (std::size_t ti = 0; ti < times_.size(); ++ti) {
-    TimeState& ts = times_[ti];
-    const std::size_t steps = ts.miss_ins.size();
-    if (steps == 0 && ts.back_t.empty()) continue;
-    const SourceTimeTable& st = est_->SourceTableFor(handle, ti);
-    // Same floored elementwise kernels as MultiplyMissFactors, so the
-    // incremental running products are bit-identical to a full recompute.
-    simd::MulInPlaceFloored(ts.miss_ins.data(), st.fac_ins.data(), steps,
-                            kMissProductFloor);
-    simd::MulInPlaceFloored(ts.miss_del.data(), st.fac_del.data(), steps,
-                            kMissProductFloor);
-    simd::MulInPlaceFloored(ts.miss_upd.data(), st.fac_upd.data(), steps,
-                            kMissProductFloor);
-    if (!ts.back_t.empty()) {
-      simd::MulInPlaceFloored(ts.back_t.data(), st.backlog_fac_t.data(),
-                              ts.back_t.size(), kMissProductFloor);
-    }
-  }
-  if (!back_t0_.empty()) {
-    simd::MulInPlaceFloored(back_t0_.data(), src.backlog_fac_t0.data(),
-                            back_t0_.size(), kMissProductFloor);
-  }
-  pushed_.push_back(handle);
+  Kernels::Push(*this, handle);
 }
 
 void QualityEstimator::EvalContext::Pop() {
@@ -771,20 +834,18 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateAtIndex(
   const TimeState& ts = times_[t_index];
   const bool backlog = !back_t0_.empty() && !ts.back_t.empty();
   FRESHSEL_OBS_COUNT("estimation.delta.evals", 1);
+  const Kernels::MissProducts miss{
+      ts.miss_ins.data(), ts.miss_del.data(), ts.miss_upd.data(),
+      backlog ? back_t0_.data() : nullptr,
+      backlog ? ts.back_t.data() : nullptr};
   if (candidate != nullptr) {
     const SourceTimeTable& st = est_->SourceTableFor(*candidate, t_index);
-    return est_->EvaluateFromProducts<true>(
-        table, up0, cov0, all0, false, ts.miss_ins.data(),
-        ts.miss_del.data(), ts.miss_upd.data(),
-        backlog ? back_t0_.data() : nullptr,
-        backlog ? ts.back_t.data() : nullptr, &st,
-        &est_->sources_[*candidate]);
+    return Kernels::EvaluateFromProducts<true>(*est_, table, up0, cov0, all0,
+                                               miss, &st,
+                                               &est_->sources_[*candidate]);
   }
-  return est_->EvaluateFromProducts<false>(
-      table, up0, cov0, all0, pushed_.empty(), ts.miss_ins.data(),
-      ts.miss_del.data(), ts.miss_upd.data(),
-      backlog ? back_t0_.data() : nullptr,
-      backlog ? ts.back_t.data() : nullptr, nullptr, nullptr);
+  return Kernels::EvaluateFromProducts<false>(*est_, table, up0, cov0, all0,
+                                              miss);
 }
 
 EstimatedQuality QualityEstimator::EvalContext::EstimateCurrent(

@@ -65,8 +65,8 @@ struct EstimatedQuality {
 /// `Estimate` is the value oracle the selection algorithms call; it costs
 /// O(|set| * (t - t0)) with small constants. The per-(source, eval-time)
 /// miss-factor arrays it multiplies are laid out as contiguous
-/// structure-of-arrays tables, memoized at first use (when caching is
-/// enabled), so the inner loops are pure elementwise array products.
+/// structure-of-arrays tables, memoized at first use, so the inner loops
+/// are pure elementwise array products.
 ///
 /// `EvalContext` is the incremental counterpart: it carries the running
 /// union signatures and per-tau miss products of a *current* set S, so
@@ -81,15 +81,20 @@ struct EstimatedQuality {
 /// slots through per-slot atomic pointers, so the hit path is lock-free and
 /// only misses serialize on the fill mutex. Each `EvalContext` is
 /// single-threaded; create one per thread.
+///
+/// The hot loops (the miss-product multiply, the expectation fold and
+/// `EvalContext::Push`) are dispatched at run time to an x86-64-v3 copy
+/// when the CPU has one; both copies publish the same bits
+/// (common/simd.h).
 class QualityEstimator {
+ private:
+  /// Per-ISA copies of the hot evaluation loops (quality_estimator.cc).
+  struct Kernels;
+
  public:
   using SourceHandle = std::uint32_t;
 
   struct Options {
-    /// Memoize per-(source, eval-time) effectiveness / miss-factor tables.
-    /// Also a precondition for `MakeEvalContext` (the incremental path
-    /// reads the memoized tables).
-    bool cache_effectiveness = true;
     /// Use per-event-time survival factors exp(-gamma (t - tau)) inside the
     /// freshness sums. The paper's printed formulas use the coarser global
     /// factor exp(-gamma (t - t0)); set false to reproduce that exactly
@@ -119,16 +124,6 @@ class QualityEstimator {
     /// Off by default (paper-faithful); the prediction-error experiments
     /// enable it.
     bool model_ghost_result = false;
-    /// Evaluate the expectation sums with the blocked SIMD reduction
-    /// kernels (common/simd.h): vector-lane partial sums + a horizontal
-    /// fold instead of strict scalar-order accumulation. Deviation is
-    /// bounded by the standard reordered-summation bound (a few ulps per
-    /// element; asserted by the kernel-equivalence suite and the
-    /// bench_kernel_check gate). Off by default: the exact path keeps
-    /// scalar-order reduction so selections stay bit-identical across
-    /// backends. The elementwise miss-product kernels are used either way
-    /// (lane-independent, hence bit-identical). CLI: --fast-math-kernels.
-    bool fast_math_kernels = false;
   };
 
   /// Incremental delta-evaluation state over a *current* set S: the union
@@ -181,6 +176,7 @@ class QualityEstimator {
 
    private:
     friend class QualityEstimator;
+    friend struct QualityEstimator::Kernels;
 
     /// Running per-eval-time miss products (index i is tau = t0 + 1 + i).
     struct TimeState {
@@ -284,12 +280,9 @@ class QualityEstimator {
   /// Averages `Estimate` over all eval times (the paper's aggregate A).
   EstimatedQuality EstimateAverage(const std::vector<SourceHandle>& set) const;
 
-  /// True when `MakeEvalContext` may be used: effectiveness caching is on
-  /// (the incremental path reads the memoized factor tables) and there is
-  /// at least one eval time.
-  bool SupportsIncremental() const {
-    return options_.cache_effectiveness && !eval_times_.empty();
-  }
+  /// True when `MakeEvalContext` may be used: there is at least one eval
+  /// time (the incremental path reads the memoized per-eval-time tables).
+  bool SupportsIncremental() const { return !eval_times_.empty(); }
 
   /// A fresh incremental context over the empty set.
   /// Pre: SupportsIncremental().
@@ -409,24 +402,6 @@ class QualityEstimator {
   /// The memoized per-(source, eval-time) table; lock-free on hits.
   const SourceTimeTable& SourceTableFor(SourceHandle handle,
                                         std::size_t t_index) const;
-
-  /// Multiplies `src`'s miss factors at `table` into the scratch product
-  /// arrays, from the memo when `t_index` is valid and caching is on,
-  /// recomputed ad hoc otherwise.
-  void MultiplyMissFactors(const RegisteredSource& src, SourceHandle handle,
-                           std::size_t t_index, const TimeTable& table,
-                           Scratch& scratch) const;
-
-  /// The shared tail of every evaluation path: folds per-tau miss products
-  /// (optionally times one candidate source's factors) into the
-  /// expectation sums and the published quality ratios. `back_t0`/`back_t`
-  /// may be null when the capture backlog is disabled or the set is empty.
-  template <bool kWithCandidate>
-  EstimatedQuality EvaluateFromProducts(
-      const TimeTable& table, double up0, double cov0, double all0,
-      bool set_empty, const double* miss_ins, const double* miss_del,
-      const double* miss_upd, const double* back_t0, const double* back_t,
-      const SourceTimeTable* cand, const RegisteredSource* cand_src) const;
 
   TimePoint t0_ = 0;
   TimePoints eval_times_;

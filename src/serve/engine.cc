@@ -110,8 +110,6 @@ std::string PreparedKey(const ResidentScenario& scenario,
   key += StringPrintf("%.17g", params.budget);
   key += '\x1f';
   key += std::to_string(params.max_divisor);
-  key += '\x1f';
-  key += params.fast_math ? '1' : '0';
   for (const std::string& name : params.roster) {
     key += '\x1f';
     key += name;
@@ -225,15 +223,12 @@ Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
     }
   }
 
-  estimation::QualityEstimator::Options estimator_options;
-  estimator_options.fast_math_kernels = params.fast_math;
   FRESHSEL_ASSIGN_OR_RETURN(
       estimation::QualityEstimator estimator,
       estimation::QualityEstimator::Create(
           scenario->world, scenario->world_model, {},
           MakeTimePoints(prepared->t0 + params.stride, params.points,
-                         params.stride),
-          estimator_options));
+                         params.stride)));
   prepared->estimator =
       std::make_unique<estimation::QualityEstimator>(std::move(estimator));
 

@@ -191,8 +191,6 @@ Result<bool> ApplyQueryField(const obs::JsonValue::Member& member,
       return Status::InvalidArgument(
           "field 'stochastic_epsilon' must be in (0, 1)");
     }
-  } else if (key == "fast_math") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->fast_math, ReadBool(value, key));
   } else if (key == "roster") {
     FRESHSEL_ASSIGN_OR_RETURN(params->roster, ReadRoster(value));
   } else if (key == "report") {
@@ -442,8 +440,6 @@ std::string SerializeQueryRequest(bool has_id, std::uint64_t id,
   writer.Key("stochastic");
   writer.Bool(params.stochastic);
   writer.Field("stochastic_epsilon", params.stochastic_epsilon);
-  writer.Key("fast_math");
-  writer.Bool(params.fast_math);
   if (!params.roster.empty()) {
     writer.Key("roster");
     writer.BeginArray();

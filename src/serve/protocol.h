@@ -103,7 +103,6 @@ struct QueryParams {
   std::int64_t threads = 1;
   bool stochastic = false;  ///< Sampled greedy rounds.
   double stochastic_epsilon = 0.1;
-  bool fast_math = false;   ///< SIMD FMA reduction kernels.
   /// Source-name roster filter; empty means every source in the scenario.
   std::vector<std::string> roster;
   /// When true the response carries the per-request RunReport (schema v2)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/simd.h"
 
 namespace freshsel {
 namespace {
@@ -102,6 +103,39 @@ TEST(BitVectorTest, UnionCountOfManyMatchesMaterializedUnion) {
 
 TEST(BitVectorTest, UnionCountOfEmptyListIsZero) {
   EXPECT_EQ(BitVector::UnionCountOf({}), 0u);
+}
+
+// The dispatched word loops: the x86-64-v3 copies (when this CPU runs
+// them) must agree with the default-ISA copies on every operation, at
+// widths that leave partial words and vector remainders.
+TEST(BitVectorTest, DispatchedCopiesMatchDefaultIsa) {
+  Rng rng(321);
+  for (std::size_t width : {1u, 63u, 64u, 65u, 257u, 1000u, 4099u}) {
+    std::vector<BitVector> vecs(5, BitVector(width));
+    for (auto& v : vecs) {
+      for (std::size_t i = 0; i < width / 3 + 1; ++i) {
+        v.Set(static_cast<std::size_t>(rng.NextBounded(width)));
+      }
+    }
+    std::vector<const BitVector*> ptrs;
+    for (const auto& v : vecs) ptrs.push_back(&v);
+    BitVector merged = vecs[0];
+    merged.OrWith(vecs[1]);
+
+    const std::size_t count = vecs[0].Count();
+    const std::size_t intersect = vecs[0].IntersectCount(vecs[1]);
+    const std::size_t unite = vecs[0].UnionCount(vecs[1]);
+    const std::size_t unite_all = BitVector::UnionCountOf(ptrs);
+
+    const simd::ScopedDefaultIsa default_isa;
+    BitVector merged_default = vecs[0];
+    merged_default.OrWith(vecs[1]);
+    EXPECT_EQ(merged, merged_default) << width;
+    EXPECT_EQ(count, vecs[0].Count()) << width;
+    EXPECT_EQ(intersect, vecs[0].IntersectCount(vecs[1])) << width;
+    EXPECT_EQ(unite, vecs[0].UnionCount(vecs[1])) << width;
+    EXPECT_EQ(unite_all, BitVector::UnionCountOf(ptrs)) << width;
+  }
 }
 
 TEST(BitVectorTest, VisitSetBitsAscendingAndComplete) {

@@ -281,6 +281,8 @@ TEST_P(EvalContextTest, SingletonDeltaFromEmptySetIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllOptionCombos, EvalContextTest,
                          ::testing::Range(0, 16));
 
+// The memoized tables are always built; the incremental path only needs at
+// least one eval time to build them for.
 TEST(EvalContextSupportTest, RequiresCachingAndEvalTimes) {
   world::DataDomain domain =
       world::DataDomain::Create("loc", 1, "cat", 1).value();
@@ -290,11 +292,6 @@ TEST(EvalContextSupportTest, RequiresCachingAndEvalTimes) {
   world::World world = world::SimulateWorld(spec, rng).value();
   WorldChangeModel model = WorldChangeModel::Learn(world, 300).value();
 
-  QualityEstimator::Options no_cache;
-  no_cache.cache_effectiveness = false;
-  EXPECT_FALSE(QualityEstimator::Create(world, model, {}, {310}, no_cache)
-                   .value()
-                   .SupportsIncremental());
   EXPECT_FALSE(QualityEstimator::Create(world, model, {}, {})
                    .value()
                    .SupportsIncremental());

@@ -1,14 +1,14 @@
-// Kernel equivalence suite (DESIGN.md §13): the SIMD miss-product kernels
-// behind QualityEstimator must not change what the estimator publishes.
+// Kernel equivalence suite (DESIGN.md §13): the vector code paths behind
+// QualityEstimator must not change what the estimator publishes.
 //
-//  * Exact path (fast_math_kernels off, the default): elementwise kernels
-//    only - results are bit-identical across backends, across the cached /
-//    uncached table paths, and across the full / incremental evaluation
-//    paths (the latter two are also covered by eval_context_test).
-//  * Fast-math path (opt-in): blocked reductions re-associate the
-//    accumulation, so the contract is a bounded deviation from the exact
-//    path, checked here across every Options mask including
-//    capture-backlog.
+//  * Dispatch: the x86-64-v3 copies of the hot loops are bit-identical to
+//    the default-ISA copies, on the full and the incremental evaluation
+//    paths and across every Options mask including capture-backlog. Both
+//    copies run in one binary via simd::ScopedDefaultIsa; on a CPU without
+//    x86-64-v3 (or a scalar-forced build) both runs take the default copy.
+//  * Memoized vs ad-hoc tables: an eval time the estimator registered and
+//    one it did not give the same bits (the incremental path is also
+//    covered by eval_context_test).
 //  * The kMissProductFloor underflow fix: ~200 high-effectiveness sources
 //    drive the per-tau miss products far below the subnormal range; the
 //    floor keeps the arithmetic normal while Push/Pop stays bit-exact and
@@ -25,6 +25,7 @@
 
 #include "common/bit_vector.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/time_types.h"
 #include "estimation/quality_estimator.h"
 #include "estimation/source_profile.h"
@@ -37,12 +38,6 @@ namespace freshsel::estimation {
 namespace {
 
 using SourceHandle = QualityEstimator::SourceHandle;
-
-/// Fast-math re-associates sums of O(steps) unit-magnitude terms, so the
-/// deviation is a few ulps of the summed magnitude; 1e-9 on [0, 1]
-/// metrics leaves orders of magnitude of slack while still catching any
-/// use of the wrong kernel or weight array.
-constexpr double kFastMathTol = 1e-9;
 
 void ExpectQualityWithin(const EstimatedQuality& a, const EstimatedQuality& b,
                          double tol, const std::string& what) {
@@ -137,54 +132,70 @@ class KernelEquivalenceTest : public ::testing::TestWithParam<int> {
   std::vector<SourceProfile> profiles_;
 };
 
+// The two FastMath* tests keep their names from the removed opt-in
+// reduction kernels; the fast path they hold to the exact one is now the
+// x86-64-v3 copy, and the bound is zero.
 TEST_P(KernelEquivalenceTest, FastMathFullPathWithinBoundOfExact) {
-  QualityEstimator::Options exact_options = OptionsFromMask(GetParam());
-  QualityEstimator::Options fast_options = exact_options;
-  fast_options.fast_math_kernels = true;
-  QualityEstimator exact =
-      MakeEstimator(exact_options, {kT0 + 15, kT0 + 45, kT0 + 90});
-  QualityEstimator fast =
-      MakeEstimator(fast_options, {kT0 + 15, kT0 + 45, kT0 + 90});
+  QualityEstimator est = MakeEstimator(OptionsFromMask(GetParam()),
+                                       {kT0 + 15, kT0 + 45, kT0 + 90});
 
   Rng rng(41);
+  std::vector<EstimatedQuality> fast_all;
+  std::vector<EstimatedQuality> exact_all;
   for (int round = 0; round < 30; ++round) {
     std::vector<SourceHandle> set;
-    for (std::size_t s = 0; s < exact.source_count(); ++s) {
+    for (std::size_t s = 0; s < est.source_count(); ++s) {
       if (rng.Bernoulli(0.5)) set.push_back(static_cast<SourceHandle>(s));
     }
-    for (TimePoint t : exact.eval_times()) {
-      ExpectQualityWithin(fast.Estimate(set, t), exact.Estimate(set, t),
-                          kFastMathTol,
-                          "mask " + std::to_string(GetParam()) + ", |S|=" +
-                              std::to_string(set.size()) + ", t=" +
-                              std::to_string(t));
+    const std::string what = "mask " + std::to_string(GetParam()) +
+                             ", |S|=" + std::to_string(set.size());
+    // kT0 + 30 is not registered: the ad-hoc fold runs in both copies.
+    for (TimePoint t : {kT0 + 15, kT0 + 30, kT0 + 45, kT0 + 90}) {
+      const EstimatedQuality fast = est.Estimate(set, t);
+      const simd::ScopedDefaultIsa default_isa;
+      ExpectQualityIdentical(fast, est.Estimate(set, t),
+                             what + ", t=" + std::to_string(t));
+    }
+    est.EstimateAllTimes(set, fast_all);
+    {
+      const simd::ScopedDefaultIsa default_isa;
+      est.EstimateAllTimes(set, exact_all);
+    }
+    ASSERT_EQ(fast_all.size(), exact_all.size());
+    for (std::size_t i = 0; i < fast_all.size(); ++i) {
+      ExpectQualityIdentical(fast_all[i], exact_all[i],
+                             what + ", time index " + std::to_string(i));
     }
   }
 }
 
 TEST_P(KernelEquivalenceTest, FastMathDeltaPathWithinBoundOfExact) {
-  QualityEstimator::Options exact_options = OptionsFromMask(GetParam());
-  QualityEstimator::Options fast_options = exact_options;
-  fast_options.fast_math_kernels = true;
-  QualityEstimator exact =
-      MakeEstimator(exact_options, {kT0 + 15, kT0 + 45});
-  QualityEstimator fast = MakeEstimator(fast_options, {kT0 + 15, kT0 + 45});
+  QualityEstimator est =
+      MakeEstimator(OptionsFromMask(GetParam()), {kT0 + 15, kT0 + 45});
 
-  QualityEstimator::EvalContext exact_ctx = exact.MakeEvalContext();
-  QualityEstimator::EvalContext fast_ctx = fast.MakeEvalContext();
-  const std::size_t n = exact.source_count();
+  QualityEstimator::EvalContext fast_ctx = est.MakeEvalContext();
+  QualityEstimator::EvalContext exact_ctx = est.MakeEvalContext();
+  const std::size_t n = est.source_count();
   for (std::size_t depth = 0; depth < n; ++depth) {
+    const std::string what = "mask " + std::to_string(GetParam()) +
+                             ", depth " + std::to_string(depth);
+    for (TimePoint t : est.eval_times()) {
+      const EstimatedQuality fast = fast_ctx.EstimateCurrent(t);
+      const simd::ScopedDefaultIsa default_isa;
+      ExpectQualityIdentical(fast, exact_ctx.EstimateCurrent(t), what);
+    }
     for (std::size_t c = 0; c < n; ++c) {
       const SourceHandle cand = static_cast<SourceHandle>(c);
-      for (TimePoint t : exact.eval_times()) {
-        ExpectQualityWithin(fast_ctx.EstimateWith(cand, t),
-                            exact_ctx.EstimateWith(cand, t), kFastMathTol,
-                            "mask " + std::to_string(GetParam()) +
-                                ", depth " + std::to_string(depth));
+      for (TimePoint t : est.eval_times()) {
+        const EstimatedQuality fast = fast_ctx.EstimateWith(cand, t);
+        const simd::ScopedDefaultIsa default_isa;
+        ExpectQualityIdentical(fast, exact_ctx.EstimateWith(cand, t),
+                               what + ", candidate " + std::to_string(c));
       }
     }
-    exact_ctx.Push(static_cast<SourceHandle>(depth));
     fast_ctx.Push(static_cast<SourceHandle>(depth));
+    const simd::ScopedDefaultIsa default_isa;
+    exact_ctx.Push(static_cast<SourceHandle>(depth));
   }
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "integration/signatures.h"
 #include "metrics/quality.h"
 #include "source/source_simulator.h"
 #include "world/world_simulator.h"
@@ -286,23 +287,90 @@ TEST_F(EstimatorFixture, DomainRestrictionMatchesMaskedExact) {
 }
 
 TEST_F(EstimatorFixture, CacheDoesNotChangeResults) {
-  QualityEstimator::Options cached;
-  cached.cache_effectiveness = true;
-  QualityEstimator::Options uncached;
-  uncached.cache_effectiveness = false;
-  QualityEstimator a = MakeEstimator({}, {kT0 + 40, kT0 + 80}, cached);
-  QualityEstimator b = MakeEstimator({}, {kT0 + 40, kT0 + 80}, uncached);
+  // `cached` memoizes tables for the times it evaluates; `uncached`
+  // registered other times, so the same evaluations fold the factors ad
+  // hoc. Both paths must publish the same bits.
+  QualityEstimator cached = MakeEstimator({}, {kT0 + 40, kT0 + 80});
+  QualityEstimator uncached = MakeEstimator({}, {kT0 + 41});
   for (TimePoint t : {kT0 + 40, kT0 + 80}) {
     for (std::vector<QualityEstimator::SourceHandle> set :
          {std::vector<QualityEstimator::SourceHandle>{0},
           std::vector<QualityEstimator::SourceHandle>{1, 3, 5},
           std::vector<QualityEstimator::SourceHandle>{0, 1, 2, 3, 4, 5}}) {
-      EstimatedQuality qa = a.Estimate(set, t);
-      EstimatedQuality qb = b.Estimate(set, t);
-      EXPECT_DOUBLE_EQ(qa.coverage, qb.coverage);
-      EXPECT_DOUBLE_EQ(qa.local_freshness, qb.local_freshness);
-      EXPECT_DOUBLE_EQ(qa.accuracy, qb.accuracy);
+      EstimatedQuality qa = cached.Estimate(set, t);
+      EstimatedQuality qb = uncached.Estimate(set, t);
+      EXPECT_EQ(qa.coverage, qb.coverage);
+      EXPECT_EQ(qa.local_freshness, qb.local_freshness);
+      EXPECT_EQ(qa.accuracy, qb.accuracy);
     }
+  }
+}
+
+TEST_F(EstimatorFixture, AddSourceCompactsLikeThePerSlotLoop) {
+  // Signatures 100 bits wider than the world, with bits set past its end
+  // and in subdomains outside the restriction; AddSource keeps exactly the
+  // bits a per-slot walk over the restricted domain's entities finds.
+  const std::vector<world::SubdomainId> domain{1, 3};
+  const std::size_t width = world_->entity_count() + 100;
+  std::vector<SourceProfile> wide = profiles_;
+  for (std::size_t s = 0; s < wide.size(); ++s) {
+    integration::SourceSignatures sig{BitVector(width), BitVector(width),
+                                      BitVector(width)};
+    const auto copy = [&](const BitVector& from, BitVector& to) {
+      from.VisitSetBits([&](std::size_t id) { to.Set(id); });
+      for (std::size_t id = world_->entity_count() + s; id < width; id += 7) {
+        to.Set(id);
+      }
+    };
+    copy(profiles_[s].sig_t0.up, sig.up);
+    copy(profiles_[s].sig_t0.cov, sig.cov);
+    copy(profiles_[s].sig_t0.all, sig.all);
+    wide[s].sig_t0 = std::move(sig);
+  }
+  QualityEstimator est =
+      QualityEstimator::Create(*world_, *model_, domain, {kT0}).value();
+  for (const SourceProfile& p : wide) ASSERT_TRUE(est.AddSource(&p).ok());
+
+  // Reference: the per-slot loop over the restricted domain.
+  std::vector<world::EntityId> domain_entities;
+  for (world::SubdomainId sub : domain) {
+    for (world::EntityId id : world_->EntitiesInSubdomain(sub)) {
+      domain_entities.push_back(id);
+    }
+  }
+  const double count_t0 = static_cast<double>(est.domain_count_t0());
+  ASSERT_GT(count_t0, 0.0);
+  const auto reference = [&](const std::vector<QualityEstimator::SourceHandle>&
+                                 set,
+                             auto member) {
+    double count = 0.0;
+    for (world::EntityId id : domain_entities) {
+      for (QualityEstimator::SourceHandle h : set) {
+        if ((wide[h].sig_t0.*member).Test(id)) {
+          count += 1.0;
+          break;
+        }
+      }
+    }
+    return count;
+  };
+  using integration::SourceSignatures;
+  for (QualityEstimator::SourceHandle h = 0; h < wide.size(); ++h) {
+    EXPECT_EQ(est.SourceCoverageAtT0(h),
+              reference({h}, &SourceSignatures::cov) / count_t0)
+        << "source " << h;
+  }
+  // At t0 the estimate is the exact signature metrics of the union.
+  for (const std::vector<QualityEstimator::SourceHandle>& set :
+       {std::vector<QualityEstimator::SourceHandle>{0},
+        std::vector<QualityEstimator::SourceHandle>{2, 4},
+        std::vector<QualityEstimator::SourceHandle>{0, 1, 2, 3, 4, 5}}) {
+    const EstimatedQuality q = est.Estimate(set, kT0);
+    const double up = reference(set, &SourceSignatures::up);
+    const double all = reference(set, &SourceSignatures::all);
+    EXPECT_EQ(q.coverage, reference(set, &SourceSignatures::cov) / count_t0);
+    EXPECT_EQ(q.expected_up, up);
+    EXPECT_EQ(q.expected_result, std::max(all, up));
   }
 }
 

@@ -10,10 +10,10 @@
 // path by the test decorator.
 //
 // The synthetic oracles use dyadic weights and costs, so every value they
-// produce is exact and their rows are bit-identical on any IEEE build.
-// Where the compiler fuses multiply-adds (-mfma, the avx2 build), the
-// estimator's last bits move; there the BL rows pin everything but the
-// profit bits and the JSON hash. Under -DFRESHSEL_OBS=OFF decision logs
+// produce is exact and their rows are bit-identical on any IEEE build. The
+// BL rows are pinned in full on every backend too: the tree builds with
+// -ffp-contract=off, so the dispatched x86-64-v3 estimator loops round
+// exactly like the default copies. Under -DFRESHSEL_OBS=OFF decision logs
 // stay empty, so neither log hash is compared.
 //
 // On a mismatch the actual panel is written to the test's temp dir (the
@@ -50,12 +50,6 @@ namespace freshsel::selection {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-#if defined(__FMA__)
-constexpr bool kFusedMultiplyAdd = true;
-#else
-constexpr bool kFusedMultiplyAdd = false;
-#endif
 
 /// A multiple of 1/64 in [lo, lo + span) / 64: sums of these are exact.
 double Dyadic(Rng& rng, int lo, int span) {
@@ -265,8 +259,6 @@ std::string Line(const std::string& label, const SelectionResult& result,
 std::string Comparable(const std::string& line) {
   std::vector<std::string> fields = Split(line, '\t');
   if (fields.size() != 8) return line;
-  const bool estimator_row = fields[0].find("/bl-") != std::string::npos;
-  if (kFusedMultiplyAdd && estimator_row) fields[5] = fields[7] = "-";
   if (!FRESHSEL_OBS_ACTIVE) fields[6] = fields[7] = "-";
   return Join(fields, "\t");
 }

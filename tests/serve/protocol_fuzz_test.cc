@@ -56,7 +56,6 @@ std::string SeedRequest(Rng& rng) {
       params.stochastic = rng.NextBounded(2) == 0;
       params.stochastic_epsilon =
           0.0625 * static_cast<double>(1 + rng.NextBounded(15));
-      params.fast_math = rng.NextBounded(2) == 0;
       for (std::uint64_t i = 0; i < rng.NextBounded(4); ++i) {
         params.roster.push_back("src_" + std::to_string(i));
       }
@@ -151,8 +150,7 @@ TEST(ProtocolFuzzTest, TypeConfusionOnEveryKnownField) {
                           "restarts",    "seed",
                           "threads",     "stochastic",
                           "stochastic_epsilon",
-                          "fast_math",   "roster",
-                          "report"};
+                          "roster",      "report"};
   const char* confusions[] = {"null", "true",      "-3.25",
                               "\"x\"", "[1,2]",    "{\"k\":1}",
                               "1e308", "-1e308",   "0.5",

@@ -75,7 +75,6 @@ TEST(ProtocolParseTest, QueryDefaultsMatchBatchSelectDefaults) {
   EXPECT_EQ(q.threads, 1);
   EXPECT_FALSE(q.stochastic);
   EXPECT_DOUBLE_EQ(q.stochastic_epsilon, 0.1);
-  EXPECT_FALSE(q.fast_math);
   EXPECT_TRUE(q.roster.empty());
   EXPECT_FALSE(q.include_report);
 }
@@ -87,7 +86,7 @@ TEST(ProtocolParseTest, QueryWithEveryField) {
       R"("stride":14,"budget":0.4,"max_divisor":3,"kappa":2,)"
       R"("restarts":5,"seed":-9,"threads":8,)"
       R"("stochastic":true,"stochastic_epsilon":0.25,)"
-      R"("fast_math":true,"roster":["a","b"],"report":true})");
+      R"("roster":["a","b"],"report":true})");
   const QueryParams& q = request.query;
   EXPECT_TRUE(request.has_id);
   EXPECT_EQ(request.id, 7u);
@@ -106,7 +105,6 @@ TEST(ProtocolParseTest, QueryWithEveryField) {
   EXPECT_EQ(q.threads, 8);
   EXPECT_TRUE(q.stochastic);
   EXPECT_DOUBLE_EQ(q.stochastic_epsilon, 0.25);
-  EXPECT_TRUE(q.fast_math);
   EXPECT_EQ(q.roster, (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(q.include_report);
 }
@@ -151,9 +149,10 @@ TEST(ProtocolParseTest, RejectsUnknownFieldsNamingTheOffender) {
 }
 
 TEST(ProtocolParseTest, RejectsRemovedAccelerationFlags) {
-  // CELF and incremental scoring follow from the oracle, not the request;
-  // the former "lazy" and "incremental" knobs are unknown fields now.
-  for (const char* field : {"lazy", "incremental"}) {
+  // CELF and incremental scoring follow from the oracle, not the request,
+  // and the vector path from the CPU; the former "lazy", "incremental" and
+  // "fast_math" knobs are unknown fields now.
+  for (const char* field : {"lazy", "incremental", "fast_math"}) {
     const Status status = ParseErr(std::string(R"({"op":"query",")") +
                                    field + R"(":false})");
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
@@ -286,8 +285,7 @@ bool SameParams(const QueryParams& a, const QueryParams& b) {
          a.restarts == b.restarts && a.seed == b.seed &&
          a.threads == b.threads && a.stochastic == b.stochastic &&
          a.stochastic_epsilon == b.stochastic_epsilon &&
-         a.fast_math == b.fast_math && a.roster == b.roster &&
-         a.include_report == b.include_report;
+         a.roster == b.roster && a.include_report == b.include_report;
 }
 
 TEST(ProtocolRoundTripTest, DefaultQueryParamsSurviveSerialization) {
@@ -315,7 +313,6 @@ TEST(ProtocolRoundTripTest, RichQueryParamsSurviveSerialization) {
   params.threads = 16;
   params.stochastic = true;
   params.stochastic_epsilon = 0.5;
-  params.fast_math = true;
   params.roster = {"crawl-a", "crawl-b", "feed_1"};
   params.include_report = true;
   Request parsed = ParseOk(SerializeQueryRequest(false, 0, params));
