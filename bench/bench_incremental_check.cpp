@@ -143,18 +143,13 @@ TimedRun RunHillClimb(const Pipeline& p, bool incremental) {
 /// gain/profit (each recorded gain was computed as `profit_after -
 /// profit_before` on the very same doubles, so re-evaluating the identity
 /// tolerates no drift), and the final recorded profit equal to
-/// SelectionResult::profit. Compiled-out observability (FRESHSEL_OBS=OFF)
-/// leaves the log empty; the gate then degrades to a skip note.
+/// SelectionResult::profit.
 int CheckDecisionLog(const Pipeline& p, obs::RunReport* report) {
   obs::DecisionLog log;
   selection::GreedyOptions options;
   options.decision_log = &log;
   const selection::SelectionResult result =
       selection::Greedy(*p.oracle, p.matroid.get(), options);
-  if (log.empty()) {
-    std::printf("  decision log: empty (observability compiled out)\n");
-    return 0;
-  }
   int failures = 0;
   if (log.algorithm() != "greedy/lazy") {
     std::fprintf(stderr, "FAIL: decision log algorithm '%s' != greedy/lazy\n",

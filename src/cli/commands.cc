@@ -122,11 +122,6 @@ Result<RobustnessOptions> ReadRobustnessFlags(const ArgMap& args) {
     return Status::InvalidArgument("--retry-backoff must be >= 0");
   }
   if (!failpoints.empty()) {
-    if (!FRESHSEL_FAULT_ACTIVE) {
-      return Status::InvalidArgument(
-          "--failpoints given, but this build compiled failpoints out "
-          "(FRESHSEL_FAULT=OFF); rebuild with FRESHSEL_FAULT=ON");
-    }
     fault::FailpointRegistry::Global().DisarmAll();
     FRESHSEL_RETURN_IF_ERROR(
         fault::FailpointRegistry::Global().ArmFromSpec(failpoints));

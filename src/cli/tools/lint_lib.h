@@ -27,7 +27,7 @@ namespace freshsel::lint {
 struct Finding {
   std::string file;
   std::size_t line = 0;
-  std::string rule;     ///< Rule id, e.g. "no-rand", "status-must-use".
+  std::string rule;     ///< Rule id, e.g. "no-rand", "raw-mutex".
   std::string message;
 };
 
@@ -53,12 +53,11 @@ struct LintOptions {
   bool assert_rule = true;
   /// Ban std::chrono::steady_clock outside the obs/ subtree: timing must
   /// go through the obs layer (obs/clock.h, obs/timer.h, or the
-  /// FRESHSEL_OBS_* macros) so it is histogram-recordable and compiles out
-  /// with FRESHSEL_OBS=OFF.
+  /// FRESHSEL_OBS_* macros) so it is histogram-recordable.
   bool obs_clock_rule = true;
   /// Include guards must read PREFIX + RELATIVE_PATH, uppercased.
   std::string guard_prefix = "FRESHSEL_";
-  /// Rule ids to skip entirely (e.g. {"status-must-use"}).
+  /// Rule ids to skip entirely (e.g. {"obs-counter-name"}).
   std::set<std::string> disabled_rules;
 };
 
@@ -84,28 +83,16 @@ struct Suppression {
 /// literal placeholder above - is documentation, not a marker.
 std::vector<Suppression> ParseSuppressions(const std::string& raw);
 
-/// Function names declared in scanned files with a `Status` or `Result<T>`
-/// return type; the status-must-use rule flags bare discarded calls to
-/// them. Collected tree-wide first so cross-file calls are covered.
-using StatusFunctions = std::set<std::string>;
-
-/// Scans one file's stripped lines for Status/Result-returning function
-/// declarations and definitions, adding the function names to `out`.
-void CollectStatusFunctions(const std::string& stripped, StatusFunctions* out);
-
 /// Lints one file; `relative` (to the scan root) names the expected include
 /// guard and the path-scoped rule subtree (first component). Appends
-/// unsuppressed findings. `status_functions` may be null to skip the
-/// status-must-use rule (single-file mode without a collection pass).
+/// unsuppressed findings.
 void LintFile(const std::filesystem::path& file,
               const std::filesystem::path& relative, const LintOptions& options,
-              const StatusFunctions* status_functions,
               std::vector<Finding>* findings);
 
-/// Scans files/directories (recursively; .h/.cc/.cpp). Two passes: first
-/// collects Status-returning function names across every file, then runs
-/// all rules. Returns all findings, deterministically ordered. Unreadable
-/// paths produce an "io" finding.
+/// Scans files/directories (recursively; .h/.cc/.cpp). Returns all
+/// findings, deterministically ordered. Unreadable paths produce an "io"
+/// finding.
 std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
                                const LintOptions& options,
                                std::size_t* files_scanned);

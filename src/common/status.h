@@ -31,10 +31,9 @@ std::string_view StatusCodeName(StatusCode code);
 /// The OK status carries no message and no allocation. Error statuses carry a
 /// code and a free-form message describing what failed.
 ///
-/// [[nodiscard]]: silently dropping a Status return loses the error; the
-/// compiler flags it (and the freshsel_lint status-must-use rule
-/// cross-checks, catching discards the attribute cannot see). Discard
-/// deliberately with `static_cast<void>(...)` plus a lint suppression.
+/// [[nodiscard]]: silently dropping a Status return loses the error, and
+/// the build turns the warning into an error (-Werror=unused-result).
+/// Discard deliberately with `static_cast<void>(...)`.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

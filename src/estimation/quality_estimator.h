@@ -258,6 +258,7 @@ class QualityEstimator {
   }
 
   TimePoint t0() const { return t0_; }
+  const Options& options() const { return options_; }
   const TimePoints& eval_times() const { return eval_times_; }
   std::int64_t domain_count_t0() const { return count_t0_; }
 

@@ -32,10 +32,8 @@ namespace freshsel::fault {
 /// flag, or via the `FRESHSEL_FAILPOINTS` environment variable; all three
 /// share the spec grammar parsed by `FailpointRegistry::ArmFromSpec`.
 ///
-/// The unarmed fast path is one relaxed atomic load. Under
-/// `-DFRESHSEL_FAULT=OFF` (or a per-TU `FRESHSEL_FAULT_FORCE_OFF`) the
-/// macros compile to `static_cast<void>(0)` and call sites vanish
-/// entirely; the library itself (registry, retry policy) is always built.
+/// The macros are always compiled in; the unarmed fast path is one relaxed
+/// atomic load.
 enum class TriggerMode {
   kDisarmed = 0,
   kAlways,
@@ -170,18 +168,6 @@ class FailpointRegistry {
 
 }  // namespace freshsel::fault
 
-/// Build-level gating, mirroring obs/macros.h:
-///  - `cmake -DFRESHSEL_FAULT=OFF` -> defines FRESHSEL_FAULT_OFF globally;
-///  - `#define FRESHSEL_FAULT_FORCE_OFF` before including this header ->
-///    per-translation-unit off switch (twin-TU overhead bench, no-op test).
-#if defined(FRESHSEL_FAULT_OFF) || defined(FRESHSEL_FAULT_FORCE_OFF)
-#define FRESHSEL_FAULT_ACTIVE 0
-#else
-#define FRESHSEL_FAULT_ACTIVE 1
-#endif
-
-#if FRESHSEL_FAULT_ACTIVE
-
 /// Evaluates the named failpoint's trigger and discards the outcome. Use
 /// to mark reachability of a site whose failure is injected elsewhere, or
 /// to drive hit-pattern assertions in tests. `name` must be a string
@@ -205,12 +191,5 @@ class FailpointRegistry {
       return (expr);                                                   \
     }                                                                  \
   } while (0)
-
-#else  // !FRESHSEL_FAULT_ACTIVE
-
-#define FRESHSEL_FAILPOINT(name) static_cast<void>(0)
-#define FRESHSEL_FAILPOINT_RETURN(name, expr) static_cast<void>(0)
-
-#endif  // FRESHSEL_FAULT_ACTIVE
 
 #endif  // FRESHSEL_FAULT_FAILPOINT_H_

@@ -74,9 +74,8 @@ struct DecisionDegradation {
 /// appended only from the single thread driving the selection loop (the
 /// algorithms parallelize candidate *scoring*, but move acceptance is
 /// always a serial reduction), so appends are plain vector pushes - no
-/// mutex, no atomics, nothing for the ≤5% instrumentation-overhead gate
-/// to measure. The pointer threaded through the algorithms is non-owning;
-/// recording compiles out entirely under -DFRESHSEL_OBS=OFF (see
+/// mutex, no atomics. The pointer threaded through the algorithms is
+/// non-owning; a null pointer skips recording entirely (see
 /// selection/audit.h).
 class DecisionLog {
  public:

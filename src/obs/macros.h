@@ -1,35 +1,19 @@
 #ifndef FRESHSEL_OBS_MACROS_H_
 #define FRESHSEL_OBS_MACROS_H_
 
-/// Zero-overhead-when-off instrumentation macros. The whole obs library
-/// (registry, spans, reports) is always built and always callable - these
-/// macros are the *instrumentation* layer sprinkled through hot paths, and
-/// they compile to nothing when observability is disabled:
-///
-///  - `cmake -DFRESHSEL_OBS=OFF`   -> defines FRESHSEL_OBS_OFF globally.
-///  - `#define FRESHSEL_OBS_FORCE_OFF` before including this header
-///    -> per-translation-unit off switch (used by the no-op compile test).
-///
-/// FRESHSEL_OBS_ACTIVE is 1 or 0 accordingly and may be used with #if for
-/// larger instrumentation blocks.
+/// Instrumentation macros: the layer sprinkled through hot paths on top of
+/// the obs library (registry, spans, reports). They are always compiled in;
+/// each call site caches its registry lookup in a function-local static, so
+/// the steady-state cost is one lock-free update, and a span costs one
+/// relaxed atomic load while tracing is disabled at runtime (DESIGN.md §9).
 
-#if defined(FRESHSEL_OBS_OFF) || defined(FRESHSEL_OBS_FORCE_OFF)
-#define FRESHSEL_OBS_ACTIVE 0
-#else
-#define FRESHSEL_OBS_ACTIVE 1
-#endif
-
-#if FRESHSEL_OBS_ACTIVE
 #include <cstdint>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#endif
 
 #define FRESHSEL_OBS_CONCAT_INNER(a, b) a##b
 #define FRESHSEL_OBS_CONCAT(a, b) FRESHSEL_OBS_CONCAT_INNER(a, b)
-
-#if FRESHSEL_OBS_ACTIVE
 
 /// Opens an RAII trace span for the rest of the enclosing scope. `name`
 /// must be a string literal (spans keep the pointer, not a copy). Costs
@@ -72,15 +56,5 @@
   const ::freshsel::obs::ScopedLatencyTimer FRESHSEL_OBS_CONCAT(         \
       fs_obs_scoped_timer_, __LINE__)(                                   \
       FRESHSEL_OBS_CONCAT(fs_obs_scoped_hist_, __LINE__))
-
-#else  // !FRESHSEL_OBS_ACTIVE
-
-#define FRESHSEL_TRACE_SPAN(name) static_cast<void>(0)
-#define FRESHSEL_OBS_COUNT(name, delta) static_cast<void>(0)
-#define FRESHSEL_OBS_GAUGE_SET(name, value) static_cast<void>(0)
-#define FRESHSEL_OBS_HISTOGRAM_RECORD(name, value) static_cast<void>(0)
-#define FRESHSEL_OBS_SCOPED_LATENCY(name) static_cast<void>(0)
-
-#endif  // FRESHSEL_OBS_ACTIVE
 
 #endif  // FRESHSEL_OBS_MACROS_H_

@@ -68,7 +68,7 @@ std::string TraceToChromeJson(const std::vector<TraceEvent>& events);
 Status WriteTraceFile(const std::string& path);
 
 /// RAII span. Prefer the FRESHSEL_TRACE_SPAN macro (obs/macros.h), which
-/// compiles to nothing in FRESHSEL_OBS=OFF builds. While the span is open
+/// costs one relaxed atomic load while tracing is off. While the span is open
 /// it publishes its id as the thread's task context, so spans opened in
 /// pool workers (or nested on the same thread) attribute to it.
 class TraceSpan {

@@ -58,9 +58,7 @@ struct GreedyOptions {
   std::size_t stochastic_k = 0;
   /// Optional per-run audit trail (not owned; may be null). When set, each
   /// accepted round appends one obs::DecisionRecord (chosen element, gain,
-  /// runner-up margin, oracle-call accounting). Recording compiles out
-  /// under -DFRESHSEL_OBS=OFF - the pointer field itself stays in every
-  /// configuration so struct layout never depends on the flag (see
+  /// runner-up margin, oracle-call accounting); null skips recording (see
   /// selection/audit.h).
   obs::DecisionLog* decision_log = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/decision_log.h"
-#include "obs/macros.h"
 #include "selection/cached_oracle.h"
 #include "selection/profit.h"
 
@@ -29,15 +28,8 @@ namespace freshsel::selection {
 /// one dynamic_cast at construction - the same idiom the decorator itself
 /// uses to discover a GainCostFunction base.
 ///
-/// Under -DFRESHSEL_OBS=OFF (or a per-TU FRESHSEL_OBS_FORCE_OFF) the class
-/// collapses to a no-op whose active() is compile-time false, so every
-/// `if (audit.active()) { ... }` recording block is dead-code-eliminated:
-/// the audit trail costs nothing when observability is off. The *type*
-/// DecisionLog always exists (the obs library is always built), so option
-/// structs keep their pointer fields in every configuration and no ODR
-/// hazard arises from mixing per-TU settings.
-#if FRESHSEL_OBS_ACTIVE
-
+/// With no log attached active() is false and every
+/// `if (audit.active()) { ... }` recording block is skipped.
 class RoundAudit {
  public:
   RoundAudit(obs::DecisionLog* log, const ProfitFunction& oracle)
@@ -81,22 +73,10 @@ class RoundAudit {
   std::uint64_t hits_start_ = 0;
 };
 
-#else  // !FRESHSEL_OBS_ACTIVE
-
-class RoundAudit {
- public:
-  RoundAudit(obs::DecisionLog* /*log*/, const ProfitFunction& /*oracle*/) {}
-  bool active() const { return false; }
-  void BeginRound() {}
-  void Commit(obs::DecisionRecord /*record*/) {}
-};
-
-#endif  // FRESHSEL_OBS_ACTIVE
-
 /// Process-lifetime hit rate of the memoizing decorator in front of the
 /// oracle, 0 for uncached oracles. The algorithms fold this into
-/// SelectionResult::cache_hit_rate; independent of the obs flag (the field
-/// is part of the result contract, not instrumentation).
+/// SelectionResult::cache_hit_rate (the field is part of the result
+/// contract, not instrumentation).
 inline double CacheHitRateOf(const ProfitFunction& oracle) {
   const auto* cached = dynamic_cast<const CachedProfitOracle*>(&oracle);
   return cached != nullptr ? cached->stats().hit_rate() : 0.0;

@@ -195,6 +195,8 @@ class ProfitOracle::IncrementalContext final : public MarginalEvalContext {
 
 bool ProfitOracle::submodular() const {
   if (config_.aggregate != AggregateMode::kAverage) return false;
+  // The capture-backlog term is only approximately submodular.
+  if (estimator_->options().model_capture_backlog) return false;
   switch (config_.gain.family()) {
     case GainFamily::kData:
       return true;

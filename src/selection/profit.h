@@ -198,7 +198,8 @@ class ProfitOracle : public GainCostFunction {
   /// True for the combinations the paper proves submodular (Thms. 1-2),
   /// averaged over T_f: the Linear gain of coverage, global freshness or
   /// their mix, and the Data gain. Accuracy, local freshness, the
-  /// Quadratic and Step curves and the max/min aggregates report false.
+  /// Quadratic and Step curves, the max/min aggregates and an estimator
+  /// that models the capture backlog report false.
   /// The budget does not enter: a budget is a constraint, not part of the
   /// set function.
   bool submodular() const override;

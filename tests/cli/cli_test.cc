@@ -7,7 +7,6 @@
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "fault/failpoint.h"
-#include "obs/macros.h"
 #include "testing/scratch.h"
 
 namespace freshsel::cli {
@@ -247,11 +246,8 @@ TEST_F(CliEndToEndTest, MetricsAndTraceOutputs) {
   trace_buf << std::ifstream(trace_path).rdbuf();
   const std::string trace = trace_buf.str();
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-#if FRESHSEL_OBS_ACTIVE
-  // Spans only exist when the instrumentation is compiled in.
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("selection/grasp"), std::string::npos);
-#endif
 }
 
 TEST_F(CliEndToEndTest, RobustnessFlagsAreValidated) {
@@ -287,8 +283,7 @@ TEST_F(CliEndToEndTest, RobustnessFlagsAreValidated) {
                  "--stochastic", "--stochastic-epsilon", "0"},
                 &output),
             0);
-  // Malformed failpoint specs fail before any work happens (or, in an
-  // OFF build, any --failpoints value is refused up front).
+  // Malformed failpoint specs fail before any work happens.
   EXPECT_NE(Run({"select", "--dir", dir_.c_str(), "--t0", "100",
                  "--failpoints", "io.read=bogus"},
                 &output),
@@ -301,7 +296,6 @@ TEST_F(CliEndToEndTest, RobustnessFlagsAreValidated) {
       << output;
 }
 
-#if FRESHSEL_FAULT_ACTIVE
 TEST_F(CliEndToEndTest, InjectedIoFaultsAreAbsorbedByRetries) {
   std::string output;
   ASSERT_EQ(Run({"simulate", "--workload", "bl", "--out", dir_.c_str(),
@@ -323,10 +317,8 @@ TEST_F(CliEndToEndTest, InjectedIoFaultsAreAbsorbedByRetries) {
   std::stringstream metrics_buf;
   metrics_buf << std::ifstream(metrics_path).rdbuf();
   const std::string metrics = metrics_buf.str();
-#if FRESHSEL_OBS_ACTIVE
   EXPECT_NE(metrics.find("\"fault.failpoints.injected\""), std::string::npos);
   EXPECT_NE(metrics.find("\"io.retry.attempts\""), std::string::npos);
-#endif  // FRESHSEL_OBS_ACTIVE
   fault::FailpointRegistry::Global().DisarmAll();
 
   // An always-failing read exhausts the retry budget and surfaces the
@@ -339,16 +331,6 @@ TEST_F(CliEndToEndTest, InjectedIoFaultsAreAbsorbedByRetries) {
   EXPECT_NE(output.find("injected fault"), std::string::npos);
   fault::FailpointRegistry::Global().DisarmAll();
 }
-#else
-TEST_F(CliEndToEndTest, FailpointsFlagRefusedInOffBuild) {
-  std::string output;
-  EXPECT_NE(Run({"select", "--dir", dir_.c_str(), "--t0", "100",
-                 "--failpoints", "io.read=always"},
-                &output),
-            0);
-  EXPECT_NE(output.find("compiled failpoints out"), std::string::npos);
-}
-#endif
 
 TEST_F(CliEndToEndTest, ErrorsAreReported) {
   std::string output;

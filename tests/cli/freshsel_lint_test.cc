@@ -354,75 +354,6 @@ TEST_F(FreshselLintTest, ParseSuppressionsUnits) {
 }
 
 // ---------------------------------------------------------------------------
-// status-must-use.
-
-TEST_F(FreshselLintTest, FlagsDiscardedStatusCallAcrossFiles) {
-  WriteFixture("api.cc",
-               "#include \"common/status.h\"\n"
-               "freshsel::Status Save(int x);\n"
-               "freshsel::Result<int> Load();\n");
-  WriteFixture("caller.cc",
-               "void F() {\n"
-               "  Save(1);\n"
-               "  Load();\n"
-               "}\n");
-  const std::vector<Finding> findings = Lint();
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(findings[0].rule, "status-must-use");
-  EXPECT_EQ(findings[0].line, 2u);
-  EXPECT_NE(findings[0].message.find("Save"), std::string::npos);
-  EXPECT_EQ(findings[1].line, 3u);
-}
-
-TEST_F(FreshselLintTest, DoesNotFlagUsedStatusResults) {
-  WriteFixture("api.cc",
-               "freshsel::Status Save(int x);\n"
-               "freshsel::Result<int> Load();\n");
-  WriteFixture("caller.cc",
-               "int F() {\n"
-               "  freshsel::Status s = Save(1);\n"
-               "  FRESHSEL_RETURN_IF_ERROR(Save(2));\n"
-               "  (void)Save(3);\n"
-               "  if (!Save(4).ok()) return 1;\n"
-               "  return Load().value_or(0);\n"
-               "}\n");
-  EXPECT_TRUE(Lint().empty());
-}
-
-TEST_F(FreshselLintTest, LocalVoidDeclarationExemptsSameNamedFunction) {
-  // Another file's `Status PanelA(...)` must not taint this file's
-  // unrelated `void PanelA(...)` procedure (tree-wide name matching).
-  WriteFixture("other.cc", "freshsel::Status PanelA(int x);\n");
-  WriteFixture("local.cc",
-               "void PanelA(double y) {}\n"
-               "void F() { PanelA(1.5); }\n");
-  EXPECT_TRUE(Lint().empty());
-}
-
-TEST_F(FreshselLintTest, StatusMustUseSkipsContinuationLines) {
-  WriteFixture("api.cc", "freshsel::Status Save(int x);\n");
-  WriteFixture("caller.cc",
-               "int F() {\n"
-               "  int x = 1 +\n"
-               "      Save(2).ok();\n"
-               "  return x;\n"
-               "}\n");
-  EXPECT_TRUE(Lint().empty());
-}
-
-TEST_F(FreshselLintTest, CollectStatusFunctionsUnits) {
-  StatusFunctions fns;
-  CollectStatusFunctions(
-      "freshsel::Status Flush();\n"
-      "Result<std::vector<int>> Parse(const std::string& s);\n"
-      "Status Writer::Commit(int n) {\n"
-      "void NotAStatus();\n"
-      "Status value = Other();\n",
-      &fns);
-  EXPECT_EQ(fns, (StatusFunctions{"Flush", "Parse", "Commit"}));
-}
-
-// ---------------------------------------------------------------------------
 // nondeterminism.
 
 TEST_F(FreshselLintTest, FlagsWallClockTimeAndRandomDevice) {

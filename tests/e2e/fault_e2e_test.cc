@@ -13,7 +13,6 @@
 
 #include "cli/commands.h"
 #include "fault/failpoint.h"
-#include "obs/macros.h"
 #include "testing/scratch.h"
 
 namespace freshsel {
@@ -45,8 +44,6 @@ class FaultE2eTest : public ::testing::Test {
   testing::ScratchDir scratch_{"fault_e2e"};
   const std::string& dir_ = scratch_.path();
 };
-
-#if FRESHSEL_FAULT_ACTIVE
 
 TEST_F(FaultE2eTest, FaultInjectedSelectIsByteReproducible) {
   std::string output;
@@ -85,16 +82,13 @@ TEST_F(FaultE2eTest, FaultInjectedSelectIsByteReproducible) {
         << "selection output drifted on repeat " << repeat;
   }
 
-  // The injections actually happened and were absorbed by retries (the
-  // registry detail disappears from reports under -DFRESHSEL_OBS=OFF).
-#if FRESHSEL_OBS_ACTIVE
+  // The injections actually happened and were absorbed by retries.
   EXPECT_NE(metrics_files[0].find("\"fault.failpoints.injected\""),
             std::string::npos);
   EXPECT_NE(metrics_files[0].find("\"io.retry.attempts\""),
             std::string::npos);
   EXPECT_EQ(metrics_files[0].find("\"io.retry.exhausted\""),
             std::string::npos);
-#endif  // FRESHSEL_OBS_ACTIVE
 }
 
 TEST_F(FaultE2eTest, ProbabilisticFaultsAreSeedDeterministic) {
@@ -138,8 +132,6 @@ TEST_F(FaultE2eTest, WriteFaultsSurfaceWhenRetriesExhaust) {
             0);
   EXPECT_NE(output.find("injected fault"), std::string::npos);
 }
-
-#endif  // FRESHSEL_FAULT_ACTIVE
 
 }  // namespace
 }  // namespace freshsel

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "estimation/source_profile.h"
-#include "obs/macros.h"
 #include "obs/metrics.h"
 #include "testing/test_world.h"
 
@@ -217,11 +216,9 @@ TEST(RobustLearnTest, DegradeModeSubstitutesAndReports) {
   EXPECT_EQ(robust->profiles[1].g_delete.knots(), expected.g_delete.knots());
   // The fitted source is untouched.
   EXPECT_EQ(robust->profiles[0].g_update.knots(), peer.g_update.knots());
-#if FRESHSEL_OBS_ACTIVE
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().TakeSnapshot();
   EXPECT_EQ(snapshot.counters.at("estimation.degraded.sources"), 1u);
-#endif  // FRESHSEL_OBS_ACTIVE
 }
 
 TEST(RobustLearnTest, PeersRestrictedToOverlappingScope) {

@@ -238,8 +238,6 @@ TEST(FailpointRegistryTest, TriggerModeNames) {
   EXPECT_EQ(TriggerModeName(TriggerMode::kProbability), "prob");
 }
 
-#if FRESHSEL_FAULT_ACTIVE
-
 Status GuardedOperation() {
   FRESHSEL_FAILPOINT_RETURN("t.macro.return",
                             Status::Unavailable("injected"));
@@ -270,8 +268,6 @@ TEST(FailpointMacroTest, PlainFailpointCountsHits) {
   EXPECT_EQ(point->fires(), 2u);
   point->Disarm();
 }
-
-#endif  // FRESHSEL_FAULT_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::fault

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/macros.h"
 #include "obs/metrics.h"
 
 namespace freshsel::fault {
@@ -146,12 +145,10 @@ TEST(RetryPolicyTest, ExhaustionReturnsLastErrorAndCounts) {
   EXPECT_NE(status.message().find("attempt 3"), std::string::npos);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(sleeps.size(), 2u);
-#if FRESHSEL_OBS_ACTIVE
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().TakeSnapshot();
   EXPECT_EQ(snapshot.counters.at("io.retry.attempts"), 2u);
   EXPECT_EQ(snapshot.counters.at("io.retry.exhausted"), 1u);
-#endif  // FRESHSEL_OBS_ACTIVE
 }
 
 TEST(RetryPolicyTest, SingleAttemptNeverRetries) {

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "obs/macros.h"
 #include "obs/metrics.h"
 #include "source/source_simulator.h"
 #include "testing/test_world.h"
@@ -166,7 +165,6 @@ TEST(ScenarioIoTest, EmptyScopeAndNoRecordsRoundTrip) {
   std::remove(path.c_str());
 }
 
-#if FRESHSEL_OBS_ACTIVE
 std::uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
@@ -216,7 +214,6 @@ TEST(ScenarioIoTest, RowCountersAddEachCompleteFileOnce) {
   std::remove(world_path.c_str());
   std::remove(source_path.c_str());
 }
-#endif  // FRESHSEL_OBS_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::io

@@ -269,7 +269,6 @@ TEST(ScopedLatencyTimerTest, RecordsOnDestruction) {
   EXPECT_GE(snapshot.sum, 0.0);
 }
 
-#if FRESHSEL_OBS_ACTIVE
 TEST(MacroTest, CountMacroReachesGlobalRegistry) {
   FRESHSEL_OBS_COUNT("obs_test.macro.counter", 2);
   FRESHSEL_OBS_COUNT("obs_test.macro.counter", 3);
@@ -284,7 +283,6 @@ TEST(MacroTest, ScopedLatencyMacroRecords) {
       MetricsRegistry::Global().TakeSnapshot();
   EXPECT_GE(snapshot.histograms.at("obs_test.macro.latency").count, 1u);
 }
-#endif  // FRESHSEL_OBS_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::obs

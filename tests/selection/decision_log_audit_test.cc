@@ -2,8 +2,7 @@
 // GreedyOptions/GraspParams/BudgetedGreedyOptions::decision_log must
 // reconstruct the selection exactly - same acceptance order, bit-identical
 // telescoping gains and final profit - so a committed RunReport explains a
-// run without re-executing it. Under -DFRESHSEL_OBS=OFF recording compiles
-// out and the log stays empty; the suite skips rather than asserts there.
+// run without re-executing it.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +113,7 @@ TEST(DecisionLogAuditTest, LazyGreedyLogReconstructsSelection) {
   GreedyOptions options;
   options.decision_log = &log;
   const SelectionResult result = Greedy(oracle, nullptr, options);
-  if (log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.algorithm(), "greedy/lazy");
   ExpectLogReconstructsResult(log, result);
   // Oracle-call attribution never exceeds the run's total (the empty-set
@@ -140,7 +139,7 @@ TEST(DecisionLogAuditTest, EagerAndLazyLogsAgreeBitIdentically) {
       testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager),
       nullptr, eager_options);
 
-  if (lazy_log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(lazy_log.empty());
   EXPECT_EQ(lazy_log.algorithm(), "greedy/lazy");
   EXPECT_EQ(eager_log.algorithm(), "greedy/eager");
   EXPECT_EQ(lazy.selected, eager.selected);
@@ -161,7 +160,7 @@ TEST(DecisionLogAuditTest, RunnerUpMarginsAreConsistent) {
   // The eager scan always knows the runner-up.
   Greedy(testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager),
          nullptr, options);
-  if (log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(log.empty());
   bool saw_runner_up = false;
   for (const obs::DecisionRecord& record : log.records()) {
     if (!record.has_runner_up) continue;
@@ -183,7 +182,7 @@ TEST(DecisionLogAuditTest, StochasticGreedyTagsSampleSizes) {
   options.stochastic_seed = 7;
   options.decision_log = &log;
   const SelectionResult result = Greedy(oracle, nullptr, options);
-  if (log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.algorithm(), "greedy/stochastic");
   ASSERT_EQ(log.records().size(), result.selected.size());
   for (const obs::DecisionRecord& record : log.records()) {
@@ -198,7 +197,7 @@ TEST(DecisionLogAuditTest, BudgetedGreedyNamesItsVariant) {
   BudgetedGreedyOptions options;
   options.decision_log = &log;
   const SelectionResult result = BudgetedGreedy(oracle, options);
-  if (log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.algorithm(), "budgeted/lazy");
   ASSERT_FALSE(log.records().size() == 0);
   ASSERT_FALSE(result.selected.empty());
@@ -216,7 +215,7 @@ TEST(DecisionLogAuditTest, GraspTagsRestarts) {
   params.seed = 11;
   params.decision_log = &log;
   Grasp(oracle, params);
-  if (log.empty()) GTEST_SKIP() << "observability compiled out";
+  ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.algorithm(), "grasp");
   ASSERT_FALSE(log.records().size() == 0);
   std::uint32_t max_restart = 0;

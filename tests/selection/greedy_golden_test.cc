@@ -13,8 +13,7 @@
 // produce is exact and their rows are bit-identical on any IEEE build. The
 // BL rows are pinned in full on every backend too: the tree builds with
 // -ffp-contract=off, so the dispatched x86-64-v3 estimator loops round
-// exactly like the default copies. Under -DFRESHSEL_OBS=OFF decision logs
-// stay empty, so neither log hash is compared.
+// exactly like the default copies.
 //
 // On a mismatch the actual panel is written to the test's temp dir (the
 // path is printed), so an intended change can be reviewed as a diff.
@@ -34,11 +33,9 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/string_util.h"
 #include "harness/learned_scenario.h"
 #include "obs/decision_log.h"
 #include "obs/json.h"
-#include "obs/macros.h"
 #include "selection/algorithms.h"
 #include "selection/budgeted_greedy.h"
 #include "selection/cached_oracle.h"
@@ -255,14 +252,6 @@ std::string Line(const std::string& label, const SelectionResult& result,
   return out.str();
 }
 
-/// The columns of `line` this build reproduces (see the file comment).
-std::string Comparable(const std::string& line) {
-  std::vector<std::string> fields = Split(line, '\t');
-  if (fields.size() != 8) return line;
-  if (!FRESHSEL_OBS_ACTIVE) fields[6] = fields[7] = "-";
-  return Join(fields, "\t");
-}
-
 /// Runs `run` on the subject's oracle stack for `mode`: the forced-eager
 /// modes put the decorator directly over the base oracle, under the cache.
 SelectionResult RunOn(
@@ -340,9 +329,9 @@ std::vector<std::string> Panel() {
                 options.decision_log = &log;
                 return Greedy(oracle, c.matroid, options);
               });
-          lines.push_back(Comparable(Line(
+          lines.push_back(Line(
               "greedy/" + c.subject->name + "/" + c.name + suffix, result,
-              log)));
+              log));
         }
         for (const Constraint& c :
              {Constraint{"none", &family.free, no_matroid},
@@ -359,9 +348,9 @@ std::vector<std::string> Panel() {
                 options.decision_log = &log;
                 return BudgetedGreedy(oracle, options);
               });
-          lines.push_back(Comparable(Line(
+          lines.push_back(Line(
               "budgeted/" + c.subject->name + "/" + c.name + suffix, result,
-              log)));
+              log));
         }
       }
     }
@@ -374,7 +363,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') lines.push_back(Comparable(line));
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
   }
   return lines;
 }

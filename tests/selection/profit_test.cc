@@ -9,8 +9,10 @@
 
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
+#include "selection/algorithms.h"
 #include "selection/cached_oracle.h"
 #include "source/source_simulator.h"
+#include "testing/forced_path_oracle.h"
 #include "world/world_simulator.h"
 
 namespace freshsel::selection {
@@ -43,13 +45,22 @@ class ProfitOracleFixture : public ::testing::Test {
         estimation::WorldChangeModel::Learn(*world_, kT0).value());
     profiles_ =
         estimation::LearnSourceProfiles(*world_, histories_, kT0).value();
-    estimator_ = std::make_unique<estimation::QualityEstimator>(
+    estimator_ = MakeEstimator({});
+    estimation::QualityEstimator::Options backlog;
+    backlog.model_capture_backlog = true;
+    backlog_estimator_ = MakeEstimator(backlog);
+  }
+
+  std::unique_ptr<estimation::QualityEstimator> MakeEstimator(
+      estimation::QualityEstimator::Options options) {
+    auto estimator = std::make_unique<estimation::QualityEstimator>(
         estimation::QualityEstimator::Create(*world_, *model_, {},
-                                             {kT0 + 20, kT0 + 40})
+                                             {kT0 + 20, kT0 + 40}, options)
             .value());
     for (const auto& p : profiles_) {
-      ASSERT_TRUE(estimator_->AddSource(&p, 1).ok());
+      EXPECT_TRUE(estimator->AddSource(&p, 1).ok());
     }
+    return estimator;
   }
 
   ProfitOracle MakeOracle(ProfitOracle::Config config,
@@ -64,6 +75,7 @@ class ProfitOracleFixture : public ::testing::Test {
   std::unique_ptr<estimation::WorldChangeModel> model_;
   std::vector<estimation::SourceProfile> profiles_;
   std::unique_ptr<estimation::QualityEstimator> estimator_;
+  std::unique_ptr<estimation::QualityEstimator> backlog_estimator_;
 };
 
 TEST_F(ProfitOracleFixture, CreateValidates) {
@@ -115,10 +127,36 @@ TEST_F(ProfitOracleFixture, SubmodularTruthTable) {
           // The memoizing decorator the serve path wraps every oracle in
           // must forward the verdict, or every served query goes eager.
           EXPECT_EQ(CachedProfitOracle(oracle).submodular(), expected);
+          // The capture-backlog term is only approximately submodular,
+          // whatever the gain.
+          const ProfitOracle backlog =
+              ProfitOracle::Create(backlog_estimator_.get(),
+                                   {10.0, 20.0, 30.0}, config)
+                  .value();
+          EXPECT_FALSE(backlog.submodular())
+              << "family " << f << " metric " << m << " aggregate "
+              << static_cast<int>(aggregate) << " budget " << budget;
         }
       }
     }
   }
+}
+
+TEST_F(ProfitOracleFixture, BacklogEstimatorGetsTheFullScan) {
+  // Linear coverage is submodular under the paper's estimator, but not once
+  // the capture backlog is modelled: Greedy must re-score every candidate
+  // each round instead of trusting CELF's stale bounds.
+  const ProfitOracle oracle =
+      ProfitOracle::Create(backlog_estimator_.get(), {10.0, 20.0, 30.0},
+                           ProfitOracle::Config{})
+          .value();
+  ASSERT_FALSE(oracle.submodular());
+  const SelectionResult result = Greedy(oracle);
+  EXPECT_EQ(result.oracle_calls_saved, 0u);
+  const SelectionResult eager = Greedy(
+      testing::ForcedPathOracle(oracle, testing::ForcedPath::kEager));
+  EXPECT_EQ(result.selected, eager.selected);
+  EXPECT_EQ(result.oracle_calls, eager.oracle_calls);
 }
 
 TEST_F(ProfitOracleFixture, CostsAreNormalized) {

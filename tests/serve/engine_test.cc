@@ -396,8 +396,6 @@ TEST_F(EngineTest, RequestedReportIsSchemaV2Json) {
   EXPECT_EQ(labels->StringOr("scenario", ""), "default");
 }
 
-#if FRESHSEL_FAULT_ACTIVE
-
 TEST_F(EngineTest, QueryFailpointSurfacesAsStructuredError) {
   ScenarioRegistry registry;
   ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
@@ -494,8 +492,6 @@ TEST_F(EngineTest, IngestFailpointSurfacesAsStructuredError) {
   EXPECT_EQ(info.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(engine.ListScenarios().empty());  // Nothing half-loaded.
 }
-
-#endif  // FRESHSEL_FAULT_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::serve

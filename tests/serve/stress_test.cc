@@ -287,8 +287,6 @@ TEST_F(ServeStressTest, ConcurrentControlOpsNeverBlockOnWork) {
   server.Stop();
 }
 
-#if FRESHSEL_FAULT_ACTIVE
-
 TEST_F(ServeStressTest, IngestionFaultsSurfaceAsStructuredErrors) {
   ScenarioRegistry registry;
   Engine engine(&registry);
@@ -329,8 +327,6 @@ TEST_F(ServeStressTest, IngestionFaultsSurfaceAsStructuredErrors) {
   EXPECT_TRUE(retry_doc->Find("ok")->AsBool()) << *retry;
   server.Stop();
 }
-
-#endif  // FRESHSEL_FAULT_ACTIVE
 
 }  // namespace
 }  // namespace freshsel::serve
