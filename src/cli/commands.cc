@@ -434,6 +434,8 @@ int RunMain(int argc, const char* const* argv, std::ostream& out,
            "[--scenario NAME --max-inflight N\n"
         << "                --max-queue N --prepared-cache N] - selection "
            "daemon (NDJSON; GET /metrics scrapes)\n"
+        << "                (--prepared-cache counts estimator shapes: "
+           "scenario, t0, eval grid, divisor, roster; not budgets)\n"
         << "  query        [--socket PATH | --host H --port N] [--op "
            "ping|list|metrics|query --raw\n"
         << "                + the select knobs] - one request against a "

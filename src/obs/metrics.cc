@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "common/string_util.h"
 #include "obs/json.h"
@@ -34,6 +35,14 @@ void Histogram::Record(double value) {
   while (!sum_.compare_exchange_weak(sum, sum + value,
                                      std::memory_order_relaxed)) {
   }
+  double seen = min_.load(std::memory_order_relaxed);
+  while (value < seen && !min_.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (value > seen && !max_.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<double> Histogram::DefaultLatencyBounds() {
@@ -54,6 +63,7 @@ double Histogram::Snapshot::Percentile(double q) const {
   if (q > 1.0) q = 1.0;
   // Rank of the q-th record, 1-based; q=0 targets the first record.
   const double rank = q * static_cast<double>(count);
+  double estimate = bounds.back();  // Overflow bucket.
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const std::uint64_t in_bucket = counts[i];
@@ -61,14 +71,17 @@ double Histogram::Snapshot::Percentile(double q) const {
     const double bucket_start = static_cast<double>(cumulative);
     cumulative += in_bucket;
     if (static_cast<double>(cumulative) < rank) continue;
-    if (i >= bounds.size()) return bounds.back();  // Overflow bucket.
+    if (i >= bounds.size()) break;
     const double lower = i == 0 ? 0.0 : bounds[i - 1];
     const double upper = bounds[i];
     const double fraction =
         (rank - bucket_start) / static_cast<double>(in_bucket);
-    return lower + (upper - lower) * (fraction < 0.0 ? 0.0 : fraction);
+    estimate = lower + (upper - lower) * (fraction < 0.0 ? 0.0 : fraction);
+    break;
   }
-  return bounds.back();
+  // A bucket's edges can lie outside every recorded value; the observed
+  // range cannot.
+  return min <= max ? std::clamp(estimate, min, max) : estimate;
 }
 
 Histogram::Snapshot Histogram::TakeSnapshot() const {
@@ -80,6 +93,8 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   }
   snapshot.count = count_.load(std::memory_order_relaxed);
   snapshot.sum = sum_.load(std::memory_order_relaxed);
+  snapshot.min = min_.load(std::memory_order_relaxed);
+  snapshot.max = max_.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -89,6 +104,10 @@ void Histogram::Reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 void MetricsSnapshot::AppendJson(JsonWriter& writer) const {
@@ -113,6 +132,10 @@ void MetricsSnapshot::AppendJson(JsonWriter& writer) const {
     writer.Field("count", histogram.count);
     writer.Field("sum", histogram.sum);
     writer.Field("mean", histogram.Mean());
+    if (histogram.min <= histogram.max) {
+      writer.Field("min", histogram.min);
+      writer.Field("max", histogram.max);
+    }
     writer.Field("p50", histogram.Percentile(0.50));
     writer.Field("p95", histogram.Percentile(0.95));
     writer.Field("p99", histogram.Percentile(0.99));

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -86,6 +87,10 @@ class Histogram {
     std::vector<std::uint64_t> counts;   ///< bounds.size() + 1 buckets.
     std::uint64_t count = 0;
     double sum = 0.0;
+    /// Smallest and largest recorded values. min > max (the default)
+    /// means unknown, e.g. a snapshot built by hand.
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
     double Mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
@@ -95,7 +100,9 @@ class Histogram {
     /// edges by the rank's position within the bucket. The first bucket's
     /// lower edge is 0 (latency histograms never see negatives); records
     /// in the overflow bucket report the last finite edge (the estimate
-    /// is a floor, not an extrapolation). Empty histograms report 0.
+    /// is a floor, not an extrapolation). When min and max are known the
+    /// estimate is clamped to [min, max], so it never leaves the observed
+    /// range. Empty histograms report 0.
     double Percentile(double q) const;
   };
   Snapshot TakeSnapshot() const;
@@ -109,6 +116,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots.
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time copy of every registered metric, serializable as

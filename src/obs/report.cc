@@ -84,6 +84,8 @@ MetricsSnapshot ParseMetrics(const JsonValue& value) {
       Histogram::Snapshot histogram;
       histogram.count = entry.UintOr("count", 0);
       histogram.sum = entry.NumberOr("sum", 0.0);
+      histogram.min = entry.NumberOr("min", histogram.min);
+      histogram.max = entry.NumberOr("max", histogram.max);
       // mean/p50/p95/p99 are derived fields; recomputed on write.
       if (const JsonValue* bounds = entry.Find("bounds");
           bounds != nullptr && bounds->is_array()) {

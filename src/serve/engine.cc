@@ -17,6 +17,7 @@
 #include "selection/budgeted_greedy.h"
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
+#include "selection/profit.h"
 #include "selection/selector.h"
 
 namespace freshsel::serve {
@@ -28,13 +29,31 @@ namespace {
 static_assert(kMaxEvalSpanSteps == estimation::kMaxEvalHorizonSteps,
               "protocol eval-span cap out of sync with the estimator");
 
-/// Engine-side twin of the codec's numeric bounds (protocol.h). The daemon
-/// never gets here with out-of-range values - ParseRequest already refused
-/// them - but in-process callers (batch `freshsel select`, tests) build
-/// QueryParams directly, and these same fields size allocations
-/// (MakeTimePoints, BuildAugmentedUniverse) or are narrowed to int for the
-/// selectors.
+Result<selection::QualityMetric> MetricFromName(const std::string& name) {
+  if (name == "coverage") return selection::QualityMetric::kCoverage;
+  if (name == "accuracy") return selection::QualityMetric::kAccuracy;
+  if (name == "freshness") return selection::QualityMetric::kGlobalFreshness;
+  if (name == "mix") return selection::QualityMetric::kCoverageFreshnessMix;
+  return Status::InvalidArgument("unknown metric: " + name);
+}
+
+Result<selection::GainFamily> GainFromName(const std::string& name) {
+  if (name == "linear") return selection::GainFamily::kLinear;
+  if (name == "quad") return selection::GainFamily::kQuadratic;
+  if (name == "step") return selection::GainFamily::kStep;
+  if (name == "data") return selection::GainFamily::kData;
+  return Status::InvalidArgument("unknown gain: " + name);
+}
+
+/// Engine-side twin of the codec's numeric bounds and enum checks
+/// (protocol.h). The daemon never gets here with out-of-range values or
+/// unknown names - ParseRequest already refused them - but in-process
+/// callers (batch `freshsel select`, tests) build QueryParams directly, and
+/// these same fields size allocations (MakeTimePoints,
+/// BuildAugmentedUniverse) or are narrowed to int for the selectors.
 Status CheckQueryBounds(const QueryParams& params) {
+  FRESHSEL_RETURN_IF_ERROR(MetricFromName(params.metric).status());
+  FRESHSEL_RETURN_IF_ERROR(GainFromName(params.gain).status());
   if (params.points < 1 || params.points > kMaxEvalSpanSteps) {
     return Status::InvalidArgument(
         "'points' must be in [1, " + std::to_string(kMaxEvalSpanSteps) +
@@ -70,27 +89,11 @@ Status CheckQueryBounds(const QueryParams& params) {
   return Status::OK();
 }
 
-Result<selection::QualityMetric> MetricFromName(const std::string& name) {
-  if (name == "coverage") return selection::QualityMetric::kCoverage;
-  if (name == "accuracy") return selection::QualityMetric::kAccuracy;
-  if (name == "freshness") return selection::QualityMetric::kGlobalFreshness;
-  if (name == "mix") return selection::QualityMetric::kCoverageFreshnessMix;
-  return Status::InvalidArgument("unknown metric: " + name);
-}
-
-Result<selection::GainFamily> GainFromName(const std::string& name) {
-  if (name == "linear") return selection::GainFamily::kLinear;
-  if (name == "quad") return selection::GainFamily::kQuadratic;
-  if (name == "step") return selection::GainFamily::kStep;
-  if (name == "data") return selection::GainFamily::kData;
-  return Status::InvalidArgument("unknown gain: " + name);
-}
-
 /// Canonical cache key over every parameter that shapes the *prepared*
-/// half of a query (scenario identity + epoch, roster, eval times,
-/// estimator options, universe, oracle config). Algorithm knobs (seed,
-/// restarts, stochastic, ...) deliberately excluded: they only affect the
-/// per-request run.
+/// half of a query: scenario identity + epoch, t0, eval grid, divisor and
+/// roster, i.e. the estimator and its universe. Metric, gain, budget and
+/// the algorithm knobs are deliberately excluded: they only shape the
+/// per-request oracle and run, so one entry serves every trade-off.
 std::string PreparedKey(const ResidentScenario& scenario,
                         const QueryParams& params) {
   std::string key = scenario.name;
@@ -102,12 +105,6 @@ std::string PreparedKey(const ResidentScenario& scenario,
   key += std::to_string(params.points);
   key += '\x1f';
   key += std::to_string(params.stride);
-  key += '\x1f';
-  key += params.metric;
-  key += '\x1f';
-  key += params.gain;
-  key += '\x1f';
-  key += StringPrintf("%.17g", params.budget);
   key += '\x1f';
   key += std::to_string(params.max_divisor);
   for (const std::string& name : params.roster) {
@@ -193,10 +190,6 @@ Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
   if (prepared->t0 > scenario->world.horizon()) {
     return Status::InvalidArgument("t0 beyond the scenario horizon");
   }
-  FRESHSEL_ASSIGN_OR_RETURN(const selection::QualityMetric metric,
-                            MetricFromName(params.metric));
-  FRESHSEL_ASSIGN_OR_RETURN(const selection::GainFamily family,
-                            GainFromName(params.gain));
 
   // Roster filter in scenario order (the roster is a set-filter, not a
   // reordering); unknown names fail loudly instead of shrinking silently.
@@ -255,16 +248,6 @@ Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
       prepared->costs.push_back(base_costs[i]);
     }
   }
-
-  selection::ProfitOracle::Config oracle_config;
-  oracle_config.gain = selection::GainModel(family, metric);
-  oracle_config.budget = params.budget;
-  FRESHSEL_ASSIGN_OR_RETURN(
-      selection::ProfitOracle oracle,
-      selection::ProfitOracle::Create(prepared->estimator.get(),
-                                      prepared->costs, oracle_config));
-  prepared->oracle =
-      std::make_unique<selection::ProfitOracle>(std::move(oracle));
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
 }
 
@@ -280,12 +263,24 @@ Status ExecutePrepared(const PreparedQuery& prepared,
   obs::RunReport& run_report = *report;
   run_report.labels["metric"] = params.metric;
   run_report.labels["gain"] = params.gain;
+
+  // The oracle is the only part that reads metric, gain and budget. Its
+  // build is cost normalization plus a few empty-set estimates, so it is
+  // made per request and the shared estimator serves every trade-off.
+  selection::ProfitOracle::Config oracle_config;
+  oracle_config.gain = selection::GainModel(*GainFromName(params.gain),
+                                            *MetricFromName(params.metric));
+  oracle_config.budget = params.budget;
+  FRESHSEL_ASSIGN_OR_RETURN(
+      selection::ProfitOracle oracle,
+      selection::ProfitOracle::Create(prepared.estimator.get(),
+                                      prepared.costs, oracle_config));
   obs::WallTimer stage_timer;
 
-  // Memoize the estimator-backed oracle per request: GRASP restarts and
-  // MaxSub local search revisit sets constantly, and a *fresh* cache keeps
-  // the reported call statistics identical to a cold batch run.
-  selection::CachedProfitOracle cached(*prepared.oracle);
+  // Memoize the oracle per request: GRASP restarts and MaxSub local search
+  // revisit sets constantly, and a *fresh* cache keeps the reported call
+  // statistics identical to a cold batch run.
+  selection::CachedProfitOracle cached(oracle);
 
   selection::SelectionResult result;
   if (params.algorithm == "budgeted") {
@@ -483,6 +478,8 @@ Result<QueryOutcome> Engine::ExecuteQuery(const QueryParams& params) {
       "serve.query",
       Status::Unavailable("injected fault: serve.query"));
   FRESHSEL_OBS_SCOPED_LATENCY("serve.query.latency");
+  // Before the cache, so that a bad request neither counts nor builds.
+  FRESHSEL_RETURN_IF_ERROR(CheckQueryBounds(params));
   FRESHSEL_ASSIGN_OR_RETURN(
       const std::shared_ptr<const PreparedQuery> prepared,
       GetOrPrepare(params));

@@ -14,7 +14,6 @@
 #include "common/thread_annotations.h"
 #include "estimation/quality_estimator.h"
 #include "selection/frequency_selection.h"
-#include "selection/profit.h"
 #include "serve/ingest.h"
 #include "serve/protocol.h"
 
@@ -60,12 +59,10 @@ class ScenarioRegistry {
 /// Everything about a query that outlives a single request: the estimator
 /// over the roster-filtered universe (whose memoized SoA miss-factor
 /// tables are the expensive resident state), the frequency-augmented
-/// universe when max_divisor > 1, and the profit oracle. Immutable after
-/// construction; safe to share across concurrent requests (the estimator
-/// and oracle are thread-safe by the PR 2 contract). The per-request
-/// CachedProfitOracle is deliberately NOT resident: a warm profit cache
-/// would change the oracle-call counts in the response text and break
-/// byte-identity with a cold batch run.
+/// universe when max_divisor > 1, and its unnormalized costs. Nothing here
+/// depends on metric, gain or budget, so one entry serves every trade-off.
+/// Immutable after construction; safe to share across concurrent requests
+/// (the estimator's evaluation path is thread-safe).
 struct PreparedQuery {
   std::shared_ptr<const ResidentScenario> scenario;
   TimePoint t0 = 0;
@@ -75,12 +72,12 @@ struct PreparedQuery {
   std::vector<std::int64_t> divisor_of;
   std::vector<double> costs;
   std::optional<selection::PartitionMatroid> matroid;
-  std::unique_ptr<selection::ProfitOracle> oracle;
 };
 
 /// Builds the resident half of a query: roster filter, estimator over the
-/// request's eval times, universe, oracle. Fails with NotFound on unknown
-/// roster names and InvalidArgument on t0/horizon violations.
+/// request's eval times, universe. Fails with NotFound on unknown roster
+/// names and InvalidArgument on unknown metric/gain names and t0/horizon
+/// violations.
 Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
     std::shared_ptr<const ResidentScenario> scenario,
     const QueryParams& params);
@@ -89,8 +86,10 @@ Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
 /// the selected-sources table + summary line (byte-for-byte the batch
 /// `freshsel select` output) to `out`, folding counters/stages/decisions
 /// into `report`, and filling `outcome` (when non-null) with the
-/// structured response payload. A fresh profit cache is constructed per
-/// call, so repeated identical requests report identical statistics.
+/// structured response payload. The profit oracle (metric, gain, budget)
+/// and its cache are built per call: the oracle costs microseconds, and a
+/// resident cache would change the reported oracle-call counts and break
+/// byte-identity with a cold batch run.
 Status ExecutePrepared(const PreparedQuery& prepared,
                        const QueryParams& params, std::ostream& out,
                        obs::RunReport* report,
@@ -103,7 +102,7 @@ Status ExecuteSelect(std::shared_ptr<const ResidentScenario> scenario,
                      QueryOutcome* outcome = nullptr);
 
 /// Query execution against a registry, with a bounded cache of prepared
-/// queries so repeated request shapes reuse the resident estimator state.
+/// queries so repeated estimator shapes reuse the resident estimator state.
 /// Each key is built once, outside the engine lock: concurrent callers of
 /// the key being built wait for that build, and callers of every other key
 /// are never held up by it. Thread-safe: concurrent ExecuteQuery calls on
@@ -111,8 +110,9 @@ Status ExecuteSelect(std::shared_ptr<const ResidentScenario> scenario,
 class Engine {
  public:
   struct Options {
-    /// Prepared-query cache capacity; the least recently used ready entry
-    /// is evicted first (entries still building are never evicted).
+    /// Prepared-query cache capacity in estimator shapes, not budgets; the
+    /// least recently used ready entry is evicted first (entries still
+    /// building are never evicted).
     std::size_t prepared_capacity = 32;
     /// Ingestion options for op:"load" requests.
     IngestOptions ingest;

@@ -238,6 +238,32 @@ TEST(HistogramPercentileTest, EmptyHistogramReportsZero) {
   EXPECT_DOUBLE_EQ(snapshot.Percentile(0.99), 0.0);
 }
 
+TEST(HistogramPercentileTest, SingleRecordReportsItselfAtEveryQuantile) {
+  // 0.133 s lands in the (0.1, 0.316] latency bucket, whose interpolated
+  // midpoint (0.208 s) was never observed.
+  Histogram histogram(Histogram::DefaultLatencyBounds());
+  histogram.Record(0.133);
+  const Histogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.min, 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.max, 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.50), 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.95), 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.99), 0.133);
+
+  histogram.Reset();
+  const Histogram::Snapshot reset = histogram.TakeSnapshot();
+  EXPECT_GT(reset.min, reset.max);  // Unknown again.
+}
+
+TEST(HistogramPercentileTest, OverflowRecordsClampUpToTheObservedMinimum) {
+  Histogram histogram({1.0, 2.0});
+  histogram.Record(5.0);
+  histogram.Record(7.0);
+  const Histogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.0), 5.0);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(1.0), 5.0);  // Floor, not 7.
+}
+
 TEST(HistogramPercentileTest, LivePercentilesAreOrderedAndBounded) {
   Histogram histogram({1.0, 2.0, 4.0, 8.0});
   for (int i = 0; i < 50; ++i) histogram.Record(0.5);

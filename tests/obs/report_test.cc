@@ -135,6 +135,22 @@ TEST(RunReportTest, V2RoundTripIsBitIdentical) {
   EXPECT_EQ(reread.decision_log.records()[0].profit, 1.0 / 3.0);
 }
 
+TEST(RunReportTest, HistogramRangeRoundTripsAndStillClamps) {
+  RunReport report;
+  report.name = "range";
+  Histogram histogram(Histogram::DefaultLatencyBounds());
+  histogram.Record(0.133);
+  report.metrics.histograms["learn"] = histogram.TakeSnapshot();
+
+  const std::string json = report.ToJson();
+  const RunReport reread = RunReport::FromJson(json).value();
+  EXPECT_EQ(reread.ToJson(), json);
+  const Histogram::Snapshot& snapshot = reread.metrics.histograms.at("learn");
+  EXPECT_DOUBLE_EQ(snapshot.min, 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.max, 0.133);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.5), 0.133);
+}
+
 TEST(RunReportTest, FromJsonToleratesUnknownFutureFields) {
   std::string json(kGoldenV1);
   json.insert(1, "\"schema_version_99_field\":{\"nested\":[1,2]},");

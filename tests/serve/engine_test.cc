@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "cli/commands.h"
 #include "fault/failpoint.h"
 #include "obs/json_reader.h"
+#include "obs/report.h"
 #include "serve/ingest.h"
 #include "serve/protocol.h"
 #include "testing/scratch.h"
@@ -200,6 +202,110 @@ TEST_F(EngineTest, PreparedCacheHitsMissesAndLruEviction) {
 
   ASSERT_TRUE(engine.ExecuteQuery(b).ok());  // Evicted -> miss again.
   EXPECT_EQ(engine.prepared_cache_stats().misses, 4u);
+}
+
+TEST_F(EngineTest, OneEntryServesEveryBudgetMetricAndGain) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Result<std::shared_ptr<const ResidentScenario>> scenario =
+      registry.Get("default");
+  ASSERT_TRUE(scenario.ok());
+  Engine engine(&registry);
+
+  // Only the per-request oracle reads metric, gain and budget, so all
+  // twelve trade-offs share one estimator: one build, eleven hits.
+  int requests = 0;
+  std::set<std::string> distinct;
+  for (const double budget : {0.02, 0.05, 1.0}) {
+    for (const char* metric : {"coverage", "freshness"}) {
+      for (const char* gain : {"linear", "quad"}) {
+        QueryParams params = BaseParams();
+        params.budget = budget;
+        params.metric = metric;
+        params.gain = gain;
+        Result<QueryOutcome> served = engine.ExecuteQuery(params);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ++requests;
+        distinct.insert(served->text);
+
+        // The reference prepares its own estimator from scratch.
+        std::ostringstream text;
+        obs::RunReport report;
+        QueryOutcome fresh;
+        ASSERT_TRUE(
+            ExecuteSelect(*scenario, params, text, &report, &fresh).ok());
+        EXPECT_EQ(served->text, text.str())
+            << "budget " << budget << ", " << metric << ", " << gain;
+        EXPECT_EQ(served->oracle_calls, fresh.oracle_calls);
+      }
+    }
+  }
+  // Each trade-off is answered by its own oracle, not a shared one.
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(requests));
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.prepared_cache_stats().hits,
+            static_cast<std::uint64_t>(requests - 1));
+
+  // Every estimator-shaping field still keys its own entry.
+  std::vector<QueryParams> shapes(5, BaseParams());
+  shapes[0].t0 = 120;
+  shapes[1].points = 2;
+  shapes[2].stride = 7;
+  shapes[3].max_divisor = 2;
+  shapes[4].roster = {(*scenario)->profiles[0].name,
+                      (*scenario)->profiles[1].name};
+  std::uint64_t misses = 1;
+  for (const QueryParams& shape : shapes) {
+    ASSERT_TRUE(engine.ExecuteQuery(shape).ok());
+    EXPECT_EQ(engine.prepared_cache_stats().misses, ++misses);
+  }
+}
+
+TEST_F(EngineTest, UnknownMetricOrGainFailsBeforeAnyBuild) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Engine engine(&registry);
+
+  QueryParams bad_metric = BaseParams();
+  bad_metric.metric = "recall";
+  Result<QueryOutcome> outcome = engine.ExecuteQuery(bad_metric);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(outcome.status().message(), "unknown metric: recall");
+
+  QueryParams bad_gain = BaseParams();
+  bad_gain.gain = "cubic";
+  outcome = engine.ExecuteQuery(bad_gain);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(outcome.status().message(), "unknown gain: cubic");
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 0u);
+  EXPECT_EQ(engine.prepared_cache_stats().hits, 0u);
+
+  // Nothing was inserted: the valid shape is the first build, and a bad
+  // name on that now-warm shape is refused without touching the cache.
+  ASSERT_TRUE(engine.ExecuteQuery(BaseParams()).ok());
+  EXPECT_FALSE(engine.ExecuteQuery(bad_metric).ok());
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.prepared_cache_stats().hits, 0u);
+
+  // The in-process entry points refuse the same names.
+  Result<std::shared_ptr<const ResidentScenario>> scenario =
+      registry.Get("default");
+  ASSERT_TRUE(scenario.ok());
+  Result<std::shared_ptr<const PreparedQuery>> prepared =
+      PrepareQuery(*scenario, bad_gain);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.status().message(), "unknown gain: cubic");
+  prepared = PrepareQuery(*scenario, BaseParams());
+  ASSERT_TRUE(prepared.ok());
+  std::ostringstream text;
+  obs::RunReport report;
+  const Status status =
+      ExecutePrepared(**prepared, bad_metric, text, &report);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "unknown metric: recall");
+  EXPECT_TRUE(text.str().empty());
 }
 
 TEST_F(EngineTest, ReloadDropsStaleEntriesOfThatScenarioOnly) {

@@ -20,6 +20,7 @@
 #include "cli/commands.h"
 #include "fault/failpoint.h"
 #include "obs/json_reader.h"
+#include "obs/report.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/ingest.h"
@@ -227,6 +228,74 @@ TEST_F(ServeStressTest, MixedQueryShapesStayDeterministicUnderConcurrency) {
         << "client " << i << " diverged from its serial reference";
   }
   server.Stop();
+}
+
+TEST_F(ServeStressTest, TradeOffsFillOneColdEntryConcurrently) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Result<std::shared_ptr<const ResidentScenario>> scenario =
+      registry.Get("default");
+  ASSERT_TRUE(scenario.ok());
+
+  // 32 distinct budget/metric/algorithm requests over one estimator shape,
+  // each with its serial batch reference (a fresh preparation of its own).
+  std::vector<QueryParams> requests;
+  for (const char* algorithm : {"greedy", "maxsub", "budgeted", "grasp"}) {
+    for (const char* metric : {"coverage", "accuracy", "freshness", "mix"}) {
+      for (const double budget : {0.02, 0.05}) {
+        QueryParams p = BaseParams();
+        p.algorithm = algorithm;
+        p.metric = metric;
+        p.budget = budget;
+        p.restarts = 3;
+        requests.push_back(p);
+      }
+    }
+  }
+  std::vector<std::string> reference;
+  for (const QueryParams& request : requests) {
+    std::ostringstream text;
+    obs::RunReport report;
+    ASSERT_TRUE(ExecuteSelect(*scenario, request, text, &report).ok());
+    reference.push_back(text.str());
+  }
+
+  // No warm-up: the first request builds the entry, the rest coalesce
+  // onto it, and all of them fill its empty memo tables at once.
+  Engine engine(&registry);
+  EngineHandler handler(&engine);
+  Server::Options options;
+  options.max_inflight = 8;
+  options.max_queue = 64;
+  Server server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::size_t clients_count = requests.size();
+  std::vector<std::string> texts(clients_count);
+  {
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < clients_count; ++i) {
+      clients.emplace_back([&, i] {
+        Result<Client> client =
+            Client::ConnectTcp("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        texts[i] = ResponseText(
+            client->Call(SerializeQueryRequest(true, i, requests[i])));
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  for (std::size_t i = 0; i < clients_count; ++i) {
+    EXPECT_EQ(texts[i], reference[i])
+        << "client " << i << " (" << requests[i].algorithm << ", "
+        << requests[i].metric << ", budget " << requests[i].budget
+        << ") diverged from its serial reference";
+  }
+  server.Stop();
+
+  const Engine::CacheStats stats = engine.prepared_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, clients_count - 1);
 }
 
 TEST_F(ServeStressTest, ConcurrentControlOpsNeverBlockOnWork) {
