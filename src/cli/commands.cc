@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -321,33 +320,34 @@ Status RunCharacterize(const ArgMap& args, std::ostream& out) {
 
 Result<serve::QueryParams> ReadQueryParams(const ArgMap& args) {
   serve::QueryParams params;
-  FRESHSEL_ASSIGN_OR_RETURN(params.t0, args.GetInt("t0", 0));
-  params.metric = args.GetString("metric", "coverage");
-  params.gain = args.GetString("gain", "linear");
-  params.algorithm = args.GetString("algorithm", "maxsub");
-  FRESHSEL_ASSIGN_OR_RETURN(params.points, args.GetInt("points", 10));
-  FRESHSEL_ASSIGN_OR_RETURN(params.stride, args.GetInt("stride", 7));
-  FRESHSEL_ASSIGN_OR_RETURN(
-      params.budget,
-      args.GetDouble("budget", std::numeric_limits<double>::infinity()));
+  FRESHSEL_ASSIGN_OR_RETURN(params.t0, args.GetInt("t0", params.t0));
+  params.metric = args.GetString("metric", params.metric);
+  params.gain = args.GetString("gain", params.gain);
+  params.algorithm = args.GetString("algorithm", params.algorithm);
+  FRESHSEL_ASSIGN_OR_RETURN(params.points,
+                            args.GetInt("points", params.points));
+  FRESHSEL_ASSIGN_OR_RETURN(params.stride,
+                            args.GetInt("stride", params.stride));
+  FRESHSEL_ASSIGN_OR_RETURN(params.budget,
+                            args.GetDouble("budget", params.budget));
   FRESHSEL_ASSIGN_OR_RETURN(params.max_divisor,
-                            args.GetInt("max-divisor", 1));
-  FRESHSEL_ASSIGN_OR_RETURN(params.kappa, args.GetInt("kappa", 5));
-  FRESHSEL_ASSIGN_OR_RETURN(params.restarts, args.GetInt("restarts", 20));
-  FRESHSEL_ASSIGN_OR_RETURN(params.seed, args.GetInt("seed", 42));
-  FRESHSEL_ASSIGN_OR_RETURN(params.threads, args.GetInt("threads", 1));
+                            args.GetInt("max-divisor", params.max_divisor));
+  FRESHSEL_ASSIGN_OR_RETURN(params.kappa, args.GetInt("kappa", params.kappa));
+  FRESHSEL_ASSIGN_OR_RETURN(params.restarts,
+                            args.GetInt("restarts", params.restarts));
+  FRESHSEL_ASSIGN_OR_RETURN(params.seed, args.GetInt("seed", params.seed));
+  FRESHSEL_ASSIGN_OR_RETURN(params.threads,
+                            args.GetInt("threads", params.threads));
   FRESHSEL_ASSIGN_OR_RETURN(params.stochastic,
-                            args.GetBool("stochastic", false));
-  FRESHSEL_ASSIGN_OR_RETURN(params.stochastic_epsilon,
-                            args.GetDouble("stochastic-epsilon", 0.1));
-  if (params.stochastic_epsilon <= 0.0 || params.stochastic_epsilon >= 1.0) {
-    return Status::InvalidArgument(
-        "--stochastic-epsilon must be in (0, 1)");
-  }
+                            args.GetBool("stochastic", params.stochastic));
+  FRESHSEL_ASSIGN_OR_RETURN(
+      params.stochastic_epsilon,
+      args.GetDouble("stochastic-epsilon", params.stochastic_epsilon));
   const std::string roster_flag = args.GetString("roster", "");
   if (!roster_flag.empty()) {
     params.roster = Split(roster_flag, ',');
   }
+  FRESHSEL_RETURN_IF_ERROR(serve::ValidateQuery(params));
   return params;
 }
 
@@ -456,7 +456,7 @@ int RunMain(int argc, const char* const* argv, std::ostream& out,
            "--metrics-out), and for characterize/select:\n"
         << "                    --strict (abort on unfittable sources) | "
            "--degrade (substitute subdomain priors; default)\n";
-    return args->command().empty() ? 2 : 2;
+    return 2;
   }
   if (!status.ok()) {
     err << status.ToString() << "\n";

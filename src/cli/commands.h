@@ -62,7 +62,9 @@ Status CheckNoPositionals(const ArgMap& args);
 
 /// Reads the selection-query knobs shared by `select` (batch) and `query`
 /// (daemon client) into wire QueryParams - one reader, so a flag added for
-/// one command cannot silently diverge from the other.
+/// one command cannot silently diverge from the other. Unset flags keep the
+/// QueryParams defaults, and the result must pass serve::ValidateQuery, so
+/// a bad value fails before any I/O.
 Result<serve::QueryParams> ReadQueryParams(const ArgMap& args);
 
 /// Dispatches on args.command(); prints usage on unknown commands.

@@ -174,6 +174,8 @@ Status RunQuery(const ArgMap& args, std::ostream& out) {
                               ReadQueryParams(args));
     params.scenario = scenario_name;
     params.include_report = include_report;
+    // Again, for the --scenario name that replaced the validated default.
+    FRESHSEL_RETURN_IF_ERROR(serve::ValidateQuery(params));
     request = serve::SerializeQueryRequest(true, 1, params);
   } else if (op == "load") {
     serve::LoadParams params;

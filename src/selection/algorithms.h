@@ -24,9 +24,9 @@ struct SelectionResult {
   /// relative to re-scoring every feasible (or sampled) candidate each
   /// round. Zero for full scans and the local searches.
   std::uint64_t oracle_calls_saved = 0;
-  /// Hit rate of the `CachedProfitOracle` the run was given over the whole
-  /// process so far, filled by the algorithms themselves when the oracle is
-  /// the memoizing decorator; 0 for uncached oracles.
+  /// Hit rate of the `CachedProfitOracle` the run was given, over its whole
+  /// life so far, read when the run ends; 0 for uncached oracles. Every
+  /// algorithm the facade runs fills it.
   double cache_hit_rate = 0.0;
 };
 

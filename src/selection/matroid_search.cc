@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "selection/algorithms.h"
+#include "selection/audit.h"
 #include "selection/set_util.h"
 
 namespace freshsel::selection {
@@ -166,6 +167,7 @@ SelectionResult MaxSubMatroid(
     best.profit = oracle.Profit({});
   }
   best.oracle_calls = oracle.call_count() - calls_before;
+  best.cache_hit_rate = CacheHitRateOf(oracle);
   return best;
 }
 

@@ -4,6 +4,7 @@
 
 #include "obs/macros.h"
 #include "selection/algorithms.h"
+#include "selection/audit.h"
 #include "selection/set_util.h"
 
 namespace freshsel::selection {
@@ -12,12 +13,6 @@ SelectionResult MaxSub(const ProfitFunction& oracle, double epsilon) {
   FRESHSEL_TRACE_SPAN("selection/maxsub");
   const std::size_t n = oracle.universe_size();
   const std::uint64_t calls_before = oracle.call_count();
-  if (n == 0) {
-    SelectionResult result;
-    result.profit = oracle.Profit({});
-    result.oracle_calls = oracle.call_count() - calls_before;
-    return result;
-  }
 
   // Line 3: start from the best singleton.
   std::vector<SourceHandle> start;
@@ -48,6 +43,7 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
   if (n == 0) {
     result.profit = oracle.Profit({});
     result.oracle_calls = oracle.call_count() - calls_before;
+    result.cache_hit_rate = CacheHitRateOf(oracle);
     return result;
   }
   std::vector<SourceHandle> selected = std::move(initial);
@@ -113,6 +109,7 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
   result.selected = std::move(selected);
   result.profit = current;
   result.oracle_calls = oracle.call_count() - calls_before;
+  result.cache_hit_rate = CacheHitRateOf(oracle);
   return result;
 }
 

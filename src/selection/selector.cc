@@ -6,6 +6,7 @@
 #include "obs/macros.h"
 #include "obs/report.h"
 #include "obs/timer.h"
+#include "selection/budgeted_greedy.h"
 
 namespace freshsel::selection {
 
@@ -17,8 +18,8 @@ std::string AlgorithmName(Algorithm algorithm, int kappa, int r) {
       return "MaxSub";
     case Algorithm::kGrasp:
       return StringPrintf("GRASP-(%d,%d)", kappa, r);
-    case Algorithm::kHillClimb:
-      return "HillClimb";
+    case Algorithm::kBudgeted:
+      return "BudgetedGreedy";
   }
   return "Unknown";
 }
@@ -34,7 +35,6 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
       options.stochastic = config.stochastic_greedy;
       options.stochastic_epsilon = config.stochastic_epsilon;
       options.stochastic_seed = config.seed;
-      options.stochastic_k = config.stochastic_k;
       options.decision_log = config.decision_log;
       return Greedy(oracle, matroid, options);
     }
@@ -52,14 +52,18 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
       params.decision_log = config.decision_log;
       return Grasp(oracle, params, matroid);
     }
-    case Algorithm::kHillClimb: {
-      GraspParams params;
-      params.kappa = 1;
-      params.restarts = 1;
-      params.seed = config.seed;
-      params.pool = config.pool;
-      params.decision_log = config.decision_log;
-      return Grasp(oracle, params, matroid);
+    case Algorithm::kBudgeted: {
+      const auto* gain_cost = dynamic_cast<const GainCostFunction*>(&oracle);
+      if (gain_cost == nullptr) {
+        return Status::InvalidArgument(
+            "BudgetedGreedy needs a gain/cost oracle");
+      }
+      BudgetedGreedyOptions options;
+      options.stochastic = config.stochastic_greedy;
+      options.stochastic_epsilon = config.stochastic_epsilon;
+      options.stochastic_seed = config.seed;
+      options.decision_log = config.decision_log;
+      return BudgetedGreedy(*gain_cost, options);
     }
   }
   return Status::InvalidArgument("unknown algorithm");

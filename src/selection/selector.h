@@ -15,13 +15,14 @@ namespace freshsel::selection {
 
 /// Which selection algorithm the facade dispatches to.
 enum class Algorithm {
-  kGreedy,     ///< Dong et al. greedy baseline.
-  kMaxSub,     ///< Algorithm 1, or Algorithm 2 when a matroid is given.
-  kGrasp,      ///< GRASP(kappa, r).
-  kHillClimb,  ///< GRASP(1, 1).
+  kGreedy,    ///< Dong et al. greedy baseline.
+  kMaxSub,    ///< Algorithm 1, or Algorithm 2 when a matroid is given.
+  kGrasp,     ///< GRASP(kappa, r).
+  kBudgeted,  ///< BudgetedGreedy; needs a GainCostFunction oracle.
 };
 
-/// Human-readable algorithm label ("Greedy", "MaxSub", "GRASP-(5,20)", ...).
+/// Human-readable algorithm label ("Greedy", "MaxSub", "GRASP-(5,20)",
+/// "BudgetedGreedy").
 std::string AlgorithmName(Algorithm algorithm, int kappa = 1, int r = 1);
 
 /// Facade configuration for `SelectSources`.
@@ -31,15 +32,13 @@ struct SelectorConfig {
   int grasp_kappa = 1;
   int grasp_restarts = 1;
   std::uint64_t seed = 42;
-  /// Stochastic greedy for the kGreedy path (see
+  /// Stochastic rounds for the kGreedy and kBudgeted paths (see
   /// GreedyOptions::stochastic): per-round uniform candidate sampling at
-  /// slack `stochastic_epsilon`, seeded from `seed`. Ignored by the other
-  /// algorithms.
+  /// slack `stochastic_epsilon`, seeded from `seed`, with the sample-size
+  /// k derived from the matroid (or n when unconstrained). Ignored by the
+  /// other algorithms.
   bool stochastic_greedy = false;
   double stochastic_epsilon = 0.1;
-  /// Explicit cardinality k for the sample-size formula; 0 derives it
-  /// from the matroid (or n when unconstrained).
-  std::size_t stochastic_k = 0;
   /// Optional thread pool (not owned) for GRASP's parallel candidate
   /// evaluation; used only when the oracle reports thread_safe().
   ThreadPool* pool = nullptr;
@@ -59,7 +58,10 @@ struct SelectorConfig {
 
 /// Runs the configured algorithm on `oracle`, constrained by `matroid` when
 /// given (Greedy and GRASP check feasibility directly; MaxSub switches to
-/// the Algorithm 2 matroid local search).
+/// the Algorithm 2 matroid local search; BudgetedGreedy is bound by the
+/// oracle's budget alone and ignores it). kBudgeted returns InvalidArgument
+/// when `oracle` is not a GainCostFunction. The one place a run is folded
+/// into `config.report`.
 Result<SelectionResult> SelectSources(const ProfitFunction& oracle,
                                       const SelectorConfig& config,
                                       const PartitionMatroid* matroid =

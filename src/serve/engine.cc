@@ -13,8 +13,6 @@
 #include "fault/failpoint.h"
 #include "obs/macros.h"
 #include "obs/report.h"
-#include "obs/timer.h"
-#include "selection/budgeted_greedy.h"
 #include "selection/cached_oracle.h"
 #include "selection/cost.h"
 #include "selection/profit.h"
@@ -28,66 +26,6 @@ namespace {
 // estimator's horizon ever moves, the codec must move with it.
 static_assert(kMaxEvalSpanSteps == estimation::kMaxEvalHorizonSteps,
               "protocol eval-span cap out of sync with the estimator");
-
-Result<selection::QualityMetric> MetricFromName(const std::string& name) {
-  if (name == "coverage") return selection::QualityMetric::kCoverage;
-  if (name == "accuracy") return selection::QualityMetric::kAccuracy;
-  if (name == "freshness") return selection::QualityMetric::kGlobalFreshness;
-  if (name == "mix") return selection::QualityMetric::kCoverageFreshnessMix;
-  return Status::InvalidArgument("unknown metric: " + name);
-}
-
-Result<selection::GainFamily> GainFromName(const std::string& name) {
-  if (name == "linear") return selection::GainFamily::kLinear;
-  if (name == "quad") return selection::GainFamily::kQuadratic;
-  if (name == "step") return selection::GainFamily::kStep;
-  if (name == "data") return selection::GainFamily::kData;
-  return Status::InvalidArgument("unknown gain: " + name);
-}
-
-/// Engine-side twin of the codec's numeric bounds and enum checks
-/// (protocol.h). The daemon never gets here with out-of-range values or
-/// unknown names - ParseRequest already refused them - but in-process
-/// callers (batch `freshsel select`, tests) build QueryParams directly, and
-/// these same fields size allocations (MakeTimePoints,
-/// BuildAugmentedUniverse) or are narrowed to int for the selectors.
-Status CheckQueryBounds(const QueryParams& params) {
-  FRESHSEL_RETURN_IF_ERROR(MetricFromName(params.metric).status());
-  FRESHSEL_RETURN_IF_ERROR(GainFromName(params.gain).status());
-  if (params.points < 1 || params.points > kMaxEvalSpanSteps) {
-    return Status::InvalidArgument(
-        "'points' must be in [1, " + std::to_string(kMaxEvalSpanSteps) +
-        "]");
-  }
-  // Divide form: exact for positive int64 and immune to the overflow the
-  // product would hit.
-  if (params.stride < 1 ||
-      params.stride > kMaxEvalSpanSteps / params.points) {
-    return Status::InvalidArgument(
-        "'stride' must be >= 1 with 'points' * 'stride' <= " +
-        std::to_string(kMaxEvalSpanSteps));
-  }
-  if (params.max_divisor < 1 || params.max_divisor > kMaxQueryDivisor) {
-    return Status::InvalidArgument(
-        "'max_divisor' must be in [1, " + std::to_string(kMaxQueryDivisor) +
-        "]");
-  }
-  if (params.kappa < 1 || params.kappa > kMaxQueryKappa) {
-    return Status::InvalidArgument(
-        "'kappa' must be in [1, " + std::to_string(kMaxQueryKappa) + "]");
-  }
-  if (params.restarts < 1 || params.restarts > kMaxQueryRestarts) {
-    return Status::InvalidArgument(
-        "'restarts' must be in [1, " + std::to_string(kMaxQueryRestarts) +
-        "]");
-  }
-  if (params.threads < 1 || params.threads > kMaxQueryThreads) {
-    return Status::InvalidArgument(
-        "'threads' must be in [1, " + std::to_string(kMaxQueryThreads) +
-        "]");
-  }
-  return Status::OK();
-}
 
 /// Canonical cache key over every parameter that shapes the *prepared*
 /// half of a query: scenario identity + epoch, t0, eval grid, divisor and
@@ -179,7 +117,7 @@ std::size_t ScenarioRegistry::size() const {
 Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
     std::shared_ptr<const ResidentScenario> scenario,
     const QueryParams& params) {
-  FRESHSEL_RETURN_IF_ERROR(CheckQueryBounds(params));
+  FRESHSEL_RETURN_IF_ERROR(ValidateQuery(params));
   auto prepared = std::make_shared<PreparedQuery>();
   prepared->scenario = scenario;
   prepared->t0 = params.t0 > 0 ? params.t0 : scenario->t0;
@@ -258,8 +196,8 @@ Status ExecutePrepared(const PreparedQuery& prepared,
                        const QueryParams& params, std::ostream& out,
                        obs::RunReport* report, QueryOutcome* outcome) {
   // A prepared-cache hit skips PrepareQuery, so the run-side knobs
-  // (kappa/restarts/threads, narrowed to int below) are re-checked here.
-  FRESHSEL_RETURN_IF_ERROR(CheckQueryBounds(params));
+  // (kappa/restarts/threads, narrowed to int below) are checked here too.
+  FRESHSEL_RETURN_IF_ERROR(ValidateQuery(params));
   obs::RunReport& run_report = *report;
   run_report.labels["metric"] = params.metric;
   run_report.labels["gain"] = params.gain;
@@ -268,111 +206,79 @@ Status ExecutePrepared(const PreparedQuery& prepared,
   // build is cost normalization plus a few empty-set estimates, so it is
   // made per request and the shared estimator serves every trade-off.
   selection::ProfitOracle::Config oracle_config;
-  oracle_config.gain = selection::GainModel(*GainFromName(params.gain),
-                                            *MetricFromName(params.metric));
+  oracle_config.gain =
+      selection::GainModel(FromWireName(kGainNames, params.gain),
+                           FromWireName(kMetricNames, params.metric));
   oracle_config.budget = params.budget;
   FRESHSEL_ASSIGN_OR_RETURN(
       selection::ProfitOracle oracle,
       selection::ProfitOracle::Create(prepared.estimator.get(),
                                       prepared.costs, oracle_config));
-  obs::WallTimer stage_timer;
 
   // Memoize the oracle per request: GRASP restarts and MaxSub local search
   // revisit sets constantly, and a *fresh* cache keeps the reported call
   // statistics identical to a cold batch run.
   selection::CachedProfitOracle cached(oracle);
 
-  selection::SelectionResult result;
-  if (params.algorithm == "budgeted") {
-    selection::BudgetedGreedyOptions budgeted_options;
-    budgeted_options.stochastic = params.stochastic;
-    budgeted_options.stochastic_epsilon = params.stochastic_epsilon;
-    budgeted_options.stochastic_seed =
-        static_cast<std::uint64_t>(params.seed);
-    budgeted_options.decision_log = &run_report.decision_log;
-    result = selection::BudgetedGreedy(cached, budgeted_options);
-    run_report.labels["algorithm"] = "BudgetedGreedy";
-    run_report.counters["oracle_calls"] += result.oracle_calls;
-    run_report.counters["oracle_calls_saved"] += result.oracle_calls_saved;
-    run_report.counters["selected_sources"] += result.selected.size();
-    run_report.values["profit"] = result.profit;
-    run_report.AddStage("select/BudgetedGreedy",
-                        stage_timer.ElapsedSeconds());
-  } else {
-    selection::SelectorConfig config;
-    if (params.algorithm == "greedy") {
-      config.algorithm = selection::Algorithm::kGreedy;
-    } else if (params.algorithm == "maxsub") {
-      config.algorithm = selection::Algorithm::kMaxSub;
-    } else if (params.algorithm == "grasp") {
-      config.algorithm = selection::Algorithm::kGrasp;
-    } else {
-      return Status::InvalidArgument("unknown algorithm: " +
-                                     params.algorithm);
-    }
-    config.grasp_kappa = static_cast<int>(params.kappa);
-    config.grasp_restarts = static_cast<int>(params.restarts);
-    config.seed = static_cast<std::uint64_t>(params.seed);
-    config.stochastic_greedy = params.stochastic;
-    config.stochastic_epsilon = params.stochastic_epsilon;
-    config.report = &run_report;
-    // Explicit wiring (never automatic inside SelectSources): callers that
-    // reuse one report across runs must not accumulate per-round records.
-    config.decision_log = &run_report.decision_log;
-    // GRASP fans candidate scoring out over a request-private pool when
-    // threads > 1; the shared pool is single-coordinator-only and the
-    // daemon runs many coordinators at once.
-    std::unique_ptr<ThreadPool> pool;
-    if (params.threads > 1) {
-      pool = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(params.threads));
-      config.pool = pool.get();
-    }
-    FRESHSEL_ASSIGN_OR_RETURN(
-        result,
-        selection::SelectSources(
-            cached, config,
-            prepared.matroid.has_value() ? &*prepared.matroid : nullptr));
+  selection::SelectorConfig config;
+  config.algorithm = FromWireName(kAlgorithmNames, params.algorithm);
+  config.grasp_kappa = static_cast<int>(params.kappa);
+  config.grasp_restarts = static_cast<int>(params.restarts);
+  config.seed = static_cast<std::uint64_t>(params.seed);
+  config.stochastic_greedy = params.stochastic;
+  config.stochastic_epsilon = params.stochastic_epsilon;
+  config.report = &run_report;
+  // Explicit wiring (never automatic inside SelectSources): callers that
+  // reuse one report across runs must not accumulate per-round records.
+  config.decision_log = &run_report.decision_log;
+  // GRASP fans candidate scoring out over a request-private pool when
+  // threads > 1; the shared pool is single-coordinator-only and the
+  // daemon runs many coordinators at once.
+  std::unique_ptr<ThreadPool> pool;
+  if (params.threads > 1) {
+    pool = std::make_unique<ThreadPool>(
+        static_cast<std::size_t>(params.threads));
+    config.pool = pool.get();
   }
+  FRESHSEL_ASSIGN_OR_RETURN(
+      const selection::SelectionResult result,
+      selection::SelectSources(
+          cached, config,
+          prepared.matroid.has_value() ? &*prepared.matroid : nullptr));
+  // Read before the Cost calls below, which go through the same cache.
   const selection::CachedProfitOracle::Stats cache_stats = cached.stats();
   run_report.counters["cache_hits"] = cache_stats.hits;
   run_report.counters["cache_misses"] = cache_stats.misses;
-  run_report.values["cache_hit_rate"] = cache_stats.hit_rate();
 
-  TablePrinter table("Selected sources", {"source", "divisor", "cost_share"});
+  QueryOutcome local;
+  QueryOutcome& filled = outcome != nullptr ? *outcome : local;
+  filled.selected.clear();
   for (selection::SourceHandle h : result.selected) {
-    table.AddRow({prepared.profiles[prepared.source_of[h]]->name,
-                  std::to_string(prepared.divisor_of[h]),
-                  FormatDouble(cached.Cost({h}), 4)});
+    filled.selected.push_back({prepared.profiles[prepared.source_of[h]]->name,
+                               prepared.divisor_of[h], cached.Cost({h})});
   }
-  table.Print(out);
   const estimation::EstimatedQuality quality =
       prepared.estimator->EstimateAverage(result.selected);
-  const double total_cost = cached.Cost(result.selected);
-  out << "profit " << FormatDouble(result.profit, 4) << ", cost "
-      << FormatDouble(total_cost, 4) << ", expected coverage "
-      << FormatDouble(quality.coverage, 3) << ", freshness "
-      << FormatDouble(quality.local_freshness, 3) << ", accuracy "
-      << FormatDouble(quality.accuracy, 3) << " (" << result.oracle_calls
+  filled.profit = result.profit;
+  filled.cost = cached.Cost(result.selected);
+  filled.coverage = quality.coverage;
+  filled.freshness = quality.local_freshness;
+  filled.accuracy = quality.accuracy;
+  filled.oracle_calls = result.oracle_calls;
+
+  TablePrinter table("Selected sources", {"source", "divisor", "cost_share"});
+  for (const SelectedSource& selected : filled.selected) {
+    table.AddRow({selected.name, std::to_string(selected.divisor),
+                  FormatDouble(selected.cost, 4)});
+  }
+  table.Print(out);
+  out << "profit " << FormatDouble(filled.profit, 4) << ", cost "
+      << FormatDouble(filled.cost, 4) << ", expected coverage "
+      << FormatDouble(filled.coverage, 3) << ", freshness "
+      << FormatDouble(filled.freshness, 3) << ", accuracy "
+      << FormatDouble(filled.accuracy, 3) << " (" << filled.oracle_calls
       << " oracle calls, cache hit rate "
       << FormatDouble(cache_stats.hit_rate(), 3) << ")\n";
-
-  if (outcome != nullptr) {
-    outcome->selected.clear();
-    for (selection::SourceHandle h : result.selected) {
-      SelectedSource selected;
-      selected.name = prepared.profiles[prepared.source_of[h]]->name;
-      selected.divisor = prepared.divisor_of[h];
-      selected.cost = cached.Cost({h});
-      outcome->selected.push_back(std::move(selected));
-    }
-    outcome->profit = result.profit;
-    outcome->cost = total_cost;
-    outcome->coverage = quality.coverage;
-    outcome->freshness = quality.local_freshness;
-    outcome->accuracy = quality.accuracy;
-    outcome->oracle_calls = result.oracle_calls;
-  }
   return Status::OK();
 }
 
@@ -479,7 +385,7 @@ Result<QueryOutcome> Engine::ExecuteQuery(const QueryParams& params) {
       Status::Unavailable("injected fault: serve.query"));
   FRESHSEL_OBS_SCOPED_LATENCY("serve.query.latency");
   // Before the cache, so that a bad request neither counts nor builds.
-  FRESHSEL_RETURN_IF_ERROR(CheckQueryBounds(params));
+  FRESHSEL_RETURN_IF_ERROR(ValidateQuery(params));
   FRESHSEL_ASSIGN_OR_RETURN(
       const std::shared_ptr<const PreparedQuery> prepared,
       GetOrPrepare(params));

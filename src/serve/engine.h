@@ -75,21 +75,23 @@ struct PreparedQuery {
 };
 
 /// Builds the resident half of a query: roster filter, estimator over the
-/// request's eval times, universe. Fails with NotFound on unknown roster
-/// names and InvalidArgument on unknown metric/gain names and t0/horizon
-/// violations.
+/// request's eval times, universe. Fails with InvalidArgument when
+/// ValidateQuery refuses `params` or t0 lies past the scenario horizon, and
+/// with NotFound on unknown roster names.
 Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
     std::shared_ptr<const ResidentScenario> scenario,
     const QueryParams& params);
 
-/// Runs the selection algorithm of `params` over a prepared query, writing
-/// the selected-sources table + summary line (byte-for-byte the batch
-/// `freshsel select` output) to `out`, folding counters/stages/decisions
-/// into `report`, and filling `outcome` (when non-null) with the
-/// structured response payload. The profit oracle (metric, gain, budget)
-/// and its cache are built per call: the oracle costs microseconds, and a
-/// resident cache would change the reported oracle-call counts and break
-/// byte-identity with a cold batch run.
+/// Runs the selection algorithm of `params` over a prepared query through
+/// one selection::SelectSources call, which folds counters/stages/decisions
+/// into `report`; fills `outcome` (when non-null) with the structured
+/// response payload and writes the same facts to `out` as the
+/// selected-sources table + summary line (byte-for-byte the batch
+/// `freshsel select` output). Refuses what ValidateQuery refuses. The
+/// profit oracle (metric, gain, budget) and its cache are built per call:
+/// the oracle costs microseconds, and a resident cache would change the
+/// reported oracle-call counts and break byte-identity with a cold batch
+/// run.
 Status ExecutePrepared(const PreparedQuery& prepared,
                        const QueryParams& params, std::ostream& out,
                        obs::RunReport* report,
@@ -123,7 +125,8 @@ class Engine {
 
   /// Executes one selection query end to end; the outcome's `text` is the
   /// batch-identical rendering and `report_json` is filled when the
-  /// request asked for it.
+  /// request asked for it. A query ValidateQuery refuses fails before the
+  /// prepared cache is looked up, so it neither counts nor builds.
   Result<QueryOutcome> ExecuteQuery(const QueryParams& params);
 
   /// Ingests a scenario directory at runtime (op:"load"), then drops the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -69,128 +70,91 @@ Result<std::int64_t> ReadInt(const obs::JsonValue& value,
   return static_cast<std::int64_t>(d);
 }
 
-Result<std::int64_t> ReadIntMin(const obs::JsonValue& value,
-                                std::string_view field, std::int64_t min) {
-  FRESHSEL_ASSIGN_OR_RETURN(std::int64_t parsed, ReadInt(value, field));
-  if (parsed < min) {
-    return Status::InvalidArgument("field '" + std::string(field) +
-                                   "' must be >= " + std::to_string(min));
-  }
-  return parsed;
-}
-
-Result<std::int64_t> ReadIntRange(const obs::JsonValue& value,
-                                  std::string_view field, std::int64_t min,
-                                  std::int64_t max) {
-  FRESHSEL_ASSIGN_OR_RETURN(std::int64_t parsed,
-                            ReadIntMin(value, field, min));
-  if (parsed > max) {
-    return Status::InvalidArgument("field '" + std::string(field) +
-                                   "' must be <= " + std::to_string(max));
-  }
-  return parsed;
-}
+constexpr char kRosterEntryError[] =
+    "field 'roster' must contain non-empty strings";
 
 Result<std::vector<std::string>> ReadRoster(const obs::JsonValue& value) {
   if (!value.is_array()) {
     return Status::InvalidArgument("field 'roster' must be an array");
   }
   std::vector<std::string> roster;
-  std::set<std::string> seen;
   roster.reserve(value.items().size());
   for (const obs::JsonValue& item : value.items()) {
-    if (!item.is_string() || item.AsString().empty()) {
-      return Status::InvalidArgument(
-          "field 'roster' must contain non-empty strings");
-    }
-    if (!seen.insert(item.AsString()).second) {
-      return Status::InvalidArgument("duplicate roster entry: " +
-                                     item.AsString());
-    }
+    if (!item.is_string()) return Status::InvalidArgument(kRosterEntryError);
     roster.push_back(item.AsString());
   }
   return roster;
 }
 
-Status CheckEnum(std::string_view field, const std::string& value,
-                 std::initializer_list<std::string_view> allowed) {
-  for (std::string_view candidate : allowed) {
-    if (value == candidate) return Status::OK();
+template <typename Enum, std::size_t N>
+Status CheckName(std::string_view field, const std::string& value,
+                 const WireName<Enum> (&table)[N]) {
+  for (const WireName<Enum>& entry : table) {
+    if (value == entry.name) return Status::OK();
   }
-  std::string message = "field '" + std::string(field) +
-                        "' must be one of {";
-  bool first = true;
-  for (std::string_view candidate : allowed) {
-    if (!first) message += ", ";
-    first = false;
-    message += candidate;
+  std::string message = "field '" + std::string(field) + "' must be one of {";
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) message += ", ";
+    message += table[i].name;
   }
   message += "}, got '" + value + "'";
   return Status::InvalidArgument(std::move(message));
 }
 
-/// Parses the fields of a kQuery request into `params`. `member` is one
-/// root-object member (the shared op/id fields are consumed by the
-/// caller); returns Unimplemented for keys this op does not know, which
-/// the caller converts into the unknown-field error.
+Status CheckRange(std::string_view field, std::int64_t value,
+                  std::int64_t min,
+                  std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  if (value < min) {
+    return Status::InvalidArgument("field '" + std::string(field) +
+                                   "' must be >= " + std::to_string(min));
+  }
+  if (value > max) {
+    return Status::InvalidArgument("field '" + std::string(field) +
+                                   "' must be <= " + std::to_string(max));
+  }
+  return Status::OK();
+}
+
+/// Reads one field of a kQuery request into `params`, checking only its
+/// JSON type (ValidateQuery judges the values once every field is read).
+/// `member` is one root-object member (the shared op/id fields are consumed
+/// by the caller); returns false for keys this op does not know, which the
+/// caller converts into the unknown-field error.
 Result<bool> ApplyQueryField(const obs::JsonValue::Member& member,
                              QueryParams* params) {
   const std::string& key = member.first;
   const obs::JsonValue& value = member.second;
   if (key == "scenario") {
     FRESHSEL_ASSIGN_OR_RETURN(params->scenario, ReadString(value, key));
-    if (!IsValidScenarioName(params->scenario)) {
-      return Status::InvalidArgument("invalid scenario name");
-    }
   } else if (key == "metric") {
     FRESHSEL_ASSIGN_OR_RETURN(params->metric, ReadString(value, key));
-    FRESHSEL_RETURN_IF_ERROR(CheckEnum(
-        key, params->metric, {"coverage", "accuracy", "freshness", "mix"}));
   } else if (key == "gain") {
     FRESHSEL_ASSIGN_OR_RETURN(params->gain, ReadString(value, key));
-    FRESHSEL_RETURN_IF_ERROR(
-        CheckEnum(key, params->gain, {"linear", "quad", "step", "data"}));
   } else if (key == "algorithm") {
     FRESHSEL_ASSIGN_OR_RETURN(params->algorithm, ReadString(value, key));
-    FRESHSEL_RETURN_IF_ERROR(CheckEnum(
-        key, params->algorithm, {"greedy", "maxsub", "grasp", "budgeted"}));
   } else if (key == "t0") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->t0, ReadIntMin(value, key, 0));
+    FRESHSEL_ASSIGN_OR_RETURN(params->t0, ReadInt(value, key));
   } else if (key == "points") {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        params->points, ReadIntRange(value, key, 1, kMaxEvalSpanSteps));
+    FRESHSEL_ASSIGN_OR_RETURN(params->points, ReadInt(value, key));
   } else if (key == "stride") {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        params->stride, ReadIntRange(value, key, 1, kMaxEvalSpanSteps));
+    FRESHSEL_ASSIGN_OR_RETURN(params->stride, ReadInt(value, key));
   } else if (key == "budget") {
     FRESHSEL_ASSIGN_OR_RETURN(params->budget, ReadDouble(value, key));
-    if (!(params->budget > 0.0)) {
-      return Status::InvalidArgument("field 'budget' must be > 0");
-    }
   } else if (key == "max_divisor") {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        params->max_divisor, ReadIntRange(value, key, 1, kMaxQueryDivisor));
+    FRESHSEL_ASSIGN_OR_RETURN(params->max_divisor, ReadInt(value, key));
   } else if (key == "kappa") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->kappa,
-                              ReadIntRange(value, key, 1, kMaxQueryKappa));
+    FRESHSEL_ASSIGN_OR_RETURN(params->kappa, ReadInt(value, key));
   } else if (key == "restarts") {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        params->restarts, ReadIntRange(value, key, 1, kMaxQueryRestarts));
+    FRESHSEL_ASSIGN_OR_RETURN(params->restarts, ReadInt(value, key));
   } else if (key == "seed") {
     FRESHSEL_ASSIGN_OR_RETURN(params->seed, ReadInt(value, key));
   } else if (key == "threads") {
-    FRESHSEL_ASSIGN_OR_RETURN(params->threads,
-                              ReadIntRange(value, key, 1, kMaxQueryThreads));
+    FRESHSEL_ASSIGN_OR_RETURN(params->threads, ReadInt(value, key));
   } else if (key == "stochastic") {
     FRESHSEL_ASSIGN_OR_RETURN(params->stochastic, ReadBool(value, key));
   } else if (key == "stochastic_epsilon") {
     FRESHSEL_ASSIGN_OR_RETURN(params->stochastic_epsilon,
                               ReadDouble(value, key));
-    if (!(params->stochastic_epsilon > 0.0) ||
-        !(params->stochastic_epsilon < 1.0)) {
-      return Status::InvalidArgument(
-          "field 'stochastic_epsilon' must be in (0, 1)");
-    }
   } else if (key == "roster") {
     FRESHSEL_ASSIGN_OR_RETURN(params->roster, ReadRoster(value));
   } else if (key == "report") {
@@ -246,6 +210,53 @@ void WriteScenarioInfo(obs::JsonWriter* writer, const ScenarioInfo& info) {
 }
 
 }  // namespace
+
+Status ValidateQuery(const QueryParams& params) {
+  if (!IsValidScenarioName(params.scenario)) {
+    return Status::InvalidArgument("invalid scenario name");
+  }
+  FRESHSEL_RETURN_IF_ERROR(CheckName("metric", params.metric, kMetricNames));
+  FRESHSEL_RETURN_IF_ERROR(CheckName("gain", params.gain, kGainNames));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckName("algorithm", params.algorithm, kAlgorithmNames));
+  FRESHSEL_RETURN_IF_ERROR(CheckRange("t0", params.t0, 0));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("points", params.points, 1, kMaxEvalSpanSteps));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("stride", params.stride, 1, kMaxEvalSpanSteps));
+  // The farthest eval time sits points * stride past t0; the divide form
+  // is exact for positive int64 and cannot overflow, unlike the product.
+  if (params.stride > kMaxEvalSpanSteps / params.points) {
+    return Status::InvalidArgument(
+        "'points' * 'stride' must be <= " +
+        std::to_string(kMaxEvalSpanSteps) +
+        " (the supported eval horizon)");
+  }
+  if (!(params.budget > 0.0)) {
+    return Status::InvalidArgument("field 'budget' must be > 0");
+  }
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("max_divisor", params.max_divisor, 1, kMaxQueryDivisor));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("kappa", params.kappa, 1, kMaxQueryKappa));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("restarts", params.restarts, 1, kMaxQueryRestarts));
+  FRESHSEL_RETURN_IF_ERROR(
+      CheckRange("threads", params.threads, 1, kMaxQueryThreads));
+  if (!(params.stochastic_epsilon > 0.0) ||
+      !(params.stochastic_epsilon < 1.0)) {
+    return Status::InvalidArgument(
+        "field 'stochastic_epsilon' must be in (0, 1)");
+  }
+  std::set<std::string_view> seen;
+  for (const std::string& name : params.roster) {
+    if (name.empty()) return Status::InvalidArgument(kRosterEntryError);
+    if (!seen.insert(name).second) {
+      return Status::InvalidArgument("duplicate roster entry: " + name);
+    }
+  }
+  return Status::OK();
+}
 
 bool IsControlOp(RequestOp op) {
   return op == RequestOp::kPing || op == RequestOp::kListScenarios ||
@@ -391,16 +402,8 @@ Result<Request> ParseRequest(std::string_view line) {
   if (request.op == RequestOp::kLoadScenario && request.load.dir.empty()) {
     return Status::InvalidArgument("op 'load' requires 'dir'");
   }
-  // Cross-field bound (checked after the loop: fields arrive in any
-  // order). The farthest eval time sits points * stride past t0; the
-  // divide-form comparison is exact for positive int64 and cannot
-  // overflow, unlike the product.
-  if (request.op == RequestOp::kQuery &&
-      request.query.stride > kMaxEvalSpanSteps / request.query.points) {
-    return Status::InvalidArgument(
-        "'points' * 'stride' must be <= " +
-        std::to_string(kMaxEvalSpanSteps) +
-        " (the supported eval horizon)");
+  if (request.op == RequestOp::kQuery) {
+    FRESHSEL_RETURN_IF_ERROR(ValidateQuery(request.query));
   }
   return request;
 }

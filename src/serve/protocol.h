@@ -1,14 +1,19 @@
 #ifndef FRESHSEL_SERVE_PROTOCOL_H_
 #define FRESHSEL_SERVE_PROTOCOL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
+#include "selection/gain.h"
+#include "selection/selector.h"
 
 namespace freshsel::serve {
 
@@ -50,13 +55,10 @@ inline constexpr int kProtocolVersion = 1;
 /// resync inside an oversized line).
 inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
-/// Wire-level bounds on the numeric kQuery knobs. Every one of these sizes
-/// an allocation or is narrowed downstream, so the codec rejects anything
-/// past the cap with `invalid_argument` before a single byte of work is
-/// scheduled - a request must never be able to reserve gigabytes, overflow
-/// `t0 + i * stride`, or turn into a negative int inside a selector. The
-/// engine re-checks them (defense in depth for in-process callers such as
-/// batch `freshsel select`).
+/// Caps on the numeric kQuery knobs, enforced by ValidateQuery. Every one
+/// of these sizes an allocation or is narrowed downstream: a query must
+/// never be able to reserve gigabytes, overflow `t0 + i * stride`, or turn
+/// into a negative int inside a selector.
 ///
 /// `kMaxEvalSpanSteps` bounds `points`, `stride` and their product (the
 /// farthest eval time is `t0 + points * stride`); it mirrors
@@ -86,7 +88,8 @@ bool IsControlOp(RequestOp op);
 
 /// Selection-query parameters; field-for-field the knobs of batch
 /// `freshsel select`, so every servable query has a batch twin to compare
-/// against (the byte-identity contract the stress suite enforces).
+/// against (the byte-identity contract the stress suite enforces). Which
+/// values are valid is decided by ValidateQuery alone.
 struct QueryParams {
   std::string scenario = "default";
   std::string metric = "coverage";    ///< coverage|accuracy|freshness|mix
@@ -110,6 +113,56 @@ struct QueryParams {
   bool include_report = false;
 };
 
+/// A wire name of an enum-valued query field and the selection enum it
+/// names.
+template <typename Enum>
+struct WireName {
+  std::string_view name;
+  Enum value;
+};
+
+/// The names ValidateQuery accepts for `metric`, `gain` and `algorithm`, in
+/// the order its errors list them. The engine maps a valid query's names
+/// through these same tables (FromWireName).
+inline constexpr WireName<selection::QualityMetric> kMetricNames[] = {
+    {"coverage", selection::QualityMetric::kCoverage},
+    {"accuracy", selection::QualityMetric::kAccuracy},
+    {"freshness", selection::QualityMetric::kGlobalFreshness},
+    {"mix", selection::QualityMetric::kCoverageFreshnessMix},
+};
+inline constexpr WireName<selection::GainFamily> kGainNames[] = {
+    {"linear", selection::GainFamily::kLinear},
+    {"quad", selection::GainFamily::kQuadratic},
+    {"step", selection::GainFamily::kStep},
+    {"data", selection::GainFamily::kData},
+};
+inline constexpr WireName<selection::Algorithm> kAlgorithmNames[] = {
+    {"greedy", selection::Algorithm::kGreedy},
+    {"maxsub", selection::Algorithm::kMaxSub},
+    {"grasp", selection::Algorithm::kGrasp},
+    {"budgeted", selection::Algorithm::kBudgeted},
+};
+
+/// The value `name` has in `table`. `name` must be one of the table's names,
+/// as every name of a query that ValidateQuery accepted is.
+template <typename Enum, std::size_t N>
+Enum FromWireName(const WireName<Enum> (&table)[N], std::string_view name) {
+  const WireName<Enum>* entry =
+      std::find_if(std::begin(table), std::end(table),
+                   [&](const WireName<Enum>& e) { return e.name == name; });
+  FRESHSEL_CHECK(entry != std::end(table)) << "not a wire name: " << name;
+  return entry->value;
+}
+
+/// The one definition of a valid query: a tame scenario name, known
+/// metric/gain/algorithm names, the kMaxQuery* caps and the points x stride
+/// horizon, budget > 0, stochastic_epsilon in (0, 1), t0 >= 0 (0 means the
+/// scenario's manifest t0) and a roster of distinct non-empty names.
+/// Returns InvalidArgument naming the first offending field. The codec, the
+/// engine's entry points and the CLI's flag reader all call it, so a query
+/// is refused with the same message whichever way it arrives.
+Status ValidateQuery(const QueryParams& params);
+
 struct LoadParams {
   std::string scenario = "default";
   std::string dir;
@@ -125,10 +178,10 @@ struct Request {
 };
 
 /// Parses one request line. Strict by design: not-JSON, a non-object root,
-/// unknown `op`, unknown fields, wrong field types, out-of-domain values
-/// and oversized lines all return InvalidArgument with a message naming
-/// the offender. Never crashes on malformed input (fuzzed, ASan/UBSan
-/// clean).
+/// unknown `op`, unknown fields, wrong field types and oversized lines all
+/// return InvalidArgument with a message naming the offender, and a query
+/// whose fields parse must then pass ValidateQuery. Never crashes on
+/// malformed input (fuzzed, ASan/UBSan clean).
 Result<Request> ParseRequest(std::string_view line);
 
 /// Canonical kQuery request line (no trailing newline). Every field is

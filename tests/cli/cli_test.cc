@@ -3,6 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/args.h"
 #include "cli/commands.h"
@@ -278,7 +281,7 @@ TEST_F(CliEndToEndTest, RobustnessFlagsAreValidated) {
                  "--stochastic", "--stochastic-epsilon", "1.5"},
                 &output),
             0);
-  EXPECT_NE(output.find("stochastic-epsilon"), std::string::npos);
+  EXPECT_NE(output.find("stochastic_epsilon"), std::string::npos);
   EXPECT_NE(Run({"select", "--dir", dir_.c_str(), "--t0", "100",
                  "--stochastic", "--stochastic-epsilon", "0"},
                 &output),
@@ -330,6 +333,27 @@ TEST_F(CliEndToEndTest, InjectedIoFaultsAreAbsorbedByRetries) {
             0);
   EXPECT_NE(output.find("injected fault"), std::string::npos);
   fault::FailpointRegistry::Global().DisarmAll();
+}
+
+TEST_F(CliEndToEndTest, OutOfDomainQueriesFailBeforeAnyIo) {
+  // `select` and `query` refuse what the daemon's codec refuses, with its
+  // message, before reading the (here empty) directory or dialling out.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
+      {{{"--budget", "0"}, "field 'budget' must be > 0"},
+       {{"--t0", "-1"}, "field 't0' must be >= 0"},
+       {{"--stochastic-epsilon", "1"},
+        "field 'stochastic_epsilon' must be in (0, 1)"},
+       {{"--algorithm", "bogus"}, "field 'algorithm' must be one of"}};
+  for (const auto& [flags, message] : cases) {
+    for (const char* command : {"select", "query"}) {
+      std::vector<const char*> argv = {command, "--dir", dir_.c_str()};
+      if (std::string(command) == "query") argv = {command};
+      argv.insert(argv.end(), flags.begin(), flags.end());
+      std::string output;
+      EXPECT_EQ(Run(argv, &output), 1) << command << ' ' << flags[0];
+      EXPECT_NE(output.find(message), std::string::npos) << output;
+    }
+  }
 }
 
 TEST_F(CliEndToEndTest, ErrorsAreReported) {

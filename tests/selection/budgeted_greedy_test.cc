@@ -4,12 +4,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
+#include "obs/decision_log.h"
+#include "obs/json.h"
+#include "obs/report.h"
+#include "selection/selector.h"
 #include "source/source_simulator.h"
 #include "testing/forced_path_oracle.h"
 #include "world/world_simulator.h"
@@ -147,6 +153,59 @@ TEST_F(BudgetedFixture, LazyMatchesEagerExactly) {
     EXPECT_EQ(lazy.selected, eager.selected) << "budget " << budget;
     EXPECT_DOUBLE_EQ(lazy.profit, eager.profit) << "budget " << budget;
     EXPECT_LE(lazy.oracle_calls, eager.oracle_calls) << "budget " << budget;
+  }
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+std::string LogJson(const obs::DecisionLog& log) {
+  obs::JsonWriter writer;
+  log.AppendJson(writer);
+  return writer.TakeString();
+}
+
+TEST_F(BudgetedFixture, SelectorFacadeRunsBudgetedGreedyExactly) {
+  for (bool stochastic : {false, true}) {
+    for (double budget :
+         {0.25, 0.46, std::numeric_limits<double>::infinity()}) {
+      const ProfitOracle direct_oracle = MakeOracle(budget);
+      obs::DecisionLog direct_log;
+      BudgetedGreedyOptions options;
+      options.stochastic = stochastic;
+      options.stochastic_epsilon = 0.3;
+      options.stochastic_seed = 9;
+      options.decision_log = &direct_log;
+      const SelectionResult direct = BudgetedGreedy(direct_oracle, options);
+
+      const ProfitOracle facade_oracle = MakeOracle(budget);
+      obs::DecisionLog facade_log;
+      obs::RunReport report;
+      SelectorConfig config;
+      config.algorithm = Algorithm::kBudgeted;
+      config.stochastic_greedy = stochastic;
+      config.stochastic_epsilon = 0.3;
+      config.seed = 9;
+      config.decision_log = &facade_log;
+      config.report = &report;
+      Result<SelectionResult> facade = SelectSources(facade_oracle, config);
+      ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+
+      EXPECT_EQ(facade->selected, direct.selected) << budget;
+      EXPECT_EQ(facade->oracle_calls, direct.oracle_calls) << budget;
+      EXPECT_EQ(facade->oracle_calls_saved, direct.oracle_calls_saved);
+      EXPECT_EQ(Bits(facade->profit), Bits(direct.profit)) << budget;
+      EXPECT_FALSE(direct_log.records().empty());
+      EXPECT_EQ(LogJson(facade_log), LogJson(direct_log)) << budget;
+      // Labelled as the serve path always has, stochastic or not.
+      EXPECT_EQ(report.labels["algorithm"], "BudgetedGreedy");
+      ASSERT_EQ(report.stages.size(), 1u);
+      EXPECT_EQ(report.stages[0].name, "select/BudgetedGreedy");
+      EXPECT_EQ(report.counters["oracle_calls"], direct.oracle_calls);
+    }
   }
 }
 

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/report.h"
 #include "selection/algorithms.h"
+#include "selection/selector.h"
 
 namespace freshsel::selection {
 namespace {
@@ -122,6 +125,37 @@ TEST(CachedProfitOracleTest, SelectionThroughCacheMatchesDirect) {
   SelectionResult through_cache = Greedy(cached);
   EXPECT_EQ(direct.selected, through_cache.selected);
   EXPECT_DOUBLE_EQ(direct.profit, through_cache.profit);
+}
+
+TEST(CachedProfitOracleTest, EveryFacadeAlgorithmReportsTheHitRate) {
+  ModularGainCost base({3.0, -1.0, 2.0, 0.5}, {0.5, 0.5, 0.5, 0.2}, 100.0);
+  const PartitionMatroid matroid =
+      PartitionMatroid::Create({0, 0, 1, 1}, {1, 1}).value();
+  for (const PartitionMatroid* constraint :
+       {static_cast<const PartitionMatroid*>(nullptr), &matroid}) {
+    for (Algorithm algorithm : {Algorithm::kGreedy, Algorithm::kMaxSub,
+                                Algorithm::kGrasp, Algorithm::kBudgeted}) {
+      CachedProfitOracle cached(base);
+      obs::RunReport report;
+      SelectorConfig config;
+      config.algorithm = algorithm;
+      config.grasp_kappa = 2;
+      config.grasp_restarts = 3;
+      config.report = &report;
+      Result<SelectionResult> result =
+          SelectSources(cached, config, constraint);
+      ASSERT_TRUE(result.ok());
+      const double hit_rate = cached.stats().hit_rate();
+      const std::string run = AlgorithmName(algorithm) +
+                              (constraint != nullptr ? " + matroid" : "");
+      // The local searches revisit the sets they scored.
+      if (algorithm == Algorithm::kMaxSub) {
+        EXPECT_GT(hit_rate, 0.0) << run;
+      }
+      EXPECT_EQ(result->cache_hit_rate, hit_rate) << run;
+      EXPECT_EQ(report.values["cache_hit_rate"], hit_rate) << run;
+    }
+  }
 }
 
 TEST(CachedProfitOracleTest, SharesBaseThreadSafetyAndIsRaceFreeItself) {

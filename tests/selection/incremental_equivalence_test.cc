@@ -211,8 +211,7 @@ TEST_P(IncrementalEquivalenceTest, SelectorFacadeHonorsIncrementalFlag) {
   // when `supports_incremental()` says so; hiding it gives the same run.
   Pipeline p = MakePipeline(std::numeric_limits<double>::infinity());
   const ForcedPathOracle plain_oracle(*p.oracle, ForcedPath::kPlain);
-  for (Algorithm algorithm :
-       {Algorithm::kGreedy, Algorithm::kGrasp, Algorithm::kHillClimb}) {
+  for (Algorithm algorithm : {Algorithm::kGreedy, Algorithm::kGrasp}) {
     SelectorConfig config;
     config.algorithm = algorithm;
     config.seed = GetParam();

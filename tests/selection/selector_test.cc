@@ -29,14 +29,13 @@ TEST(SelectorTest, AlgorithmNames) {
   EXPECT_EQ(AlgorithmName(Algorithm::kGreedy), "Greedy");
   EXPECT_EQ(AlgorithmName(Algorithm::kMaxSub), "MaxSub");
   EXPECT_EQ(AlgorithmName(Algorithm::kGrasp, 5, 20), "GRASP-(5,20)");
-  EXPECT_EQ(AlgorithmName(Algorithm::kHillClimb), "HillClimb");
+  EXPECT_EQ(AlgorithmName(Algorithm::kBudgeted), "BudgetedGreedy");
 }
 
 TEST(SelectorTest, DispatchesAllAlgorithmsToOptimum) {
   ModularFunction f({2.0, -1.0, 3.0});
   for (Algorithm algorithm :
-       {Algorithm::kGreedy, Algorithm::kMaxSub, Algorithm::kGrasp,
-        Algorithm::kHillClimb}) {
+       {Algorithm::kGreedy, Algorithm::kMaxSub, Algorithm::kGrasp}) {
     SelectorConfig config;
     config.algorithm = algorithm;
     config.grasp_kappa = 2;
@@ -60,18 +59,13 @@ TEST(SelectorTest, MaxSubWithMatroidUsesConstrainedSearch) {
   EXPECT_EQ(result->selected, (std::vector<SourceHandle>{0}));
 }
 
-TEST(SelectorTest, HillClimbEqualsGraspOneOne) {
-  ModularFunction f({1.0, 2.0, -3.0, 4.0});
-  SelectorConfig hill;
-  hill.algorithm = Algorithm::kHillClimb;
-  hill.seed = 9;
-  SelectorConfig grasp;
-  grasp.algorithm = Algorithm::kGrasp;
-  grasp.grasp_kappa = 1;
-  grasp.grasp_restarts = 1;
-  grasp.seed = 9;
-  EXPECT_EQ(SelectSources(f, hill)->selected,
-            SelectSources(f, grasp)->selected);
+TEST(SelectorTest, BudgetedNeedsAGainCostOracle) {
+  ModularFunction f({1.0, 2.0});
+  SelectorConfig config;
+  config.algorithm = Algorithm::kBudgeted;
+  Result<SelectionResult> result = SelectSources(f, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

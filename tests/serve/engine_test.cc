@@ -271,14 +271,27 @@ TEST_F(EngineTest, UnknownMetricOrGainFailsBeforeAnyBuild) {
   Result<QueryOutcome> outcome = engine.ExecuteQuery(bad_metric);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(outcome.status().message(), "unknown metric: recall");
+  EXPECT_EQ(outcome.status().message(),
+            "field 'metric' must be one of {coverage, accuracy, freshness, "
+            "mix}, got 'recall'");
 
   QueryParams bad_gain = BaseParams();
   bad_gain.gain = "cubic";
   outcome = engine.ExecuteQuery(bad_gain);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(outcome.status().message(), "unknown gain: cubic");
+  EXPECT_EQ(outcome.status().message(),
+            "field 'gain' must be one of {linear, quad, step, data}, got "
+            "'cubic'");
+
+  QueryParams bad_algorithm = BaseParams();
+  bad_algorithm.algorithm = "bogus";
+  outcome = engine.ExecuteQuery(bad_algorithm);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(outcome.status().message(),
+            "field 'algorithm' must be one of {greedy, maxsub, grasp, "
+            "budgeted}, got 'bogus'");
   EXPECT_EQ(engine.prepared_cache_stats().misses, 0u);
   EXPECT_EQ(engine.prepared_cache_stats().hits, 0u);
 
@@ -296,7 +309,9 @@ TEST_F(EngineTest, UnknownMetricOrGainFailsBeforeAnyBuild) {
   Result<std::shared_ptr<const PreparedQuery>> prepared =
       PrepareQuery(*scenario, bad_gain);
   ASSERT_FALSE(prepared.ok());
-  EXPECT_EQ(prepared.status().message(), "unknown gain: cubic");
+  EXPECT_EQ(prepared.status().message(),
+            "field 'gain' must be one of {linear, quad, step, data}, got "
+            "'cubic'");
   prepared = PrepareQuery(*scenario, BaseParams());
   ASSERT_TRUE(prepared.ok());
   std::ostringstream text;
@@ -304,7 +319,9 @@ TEST_F(EngineTest, UnknownMetricOrGainFailsBeforeAnyBuild) {
   const Status status =
       ExecutePrepared(**prepared, bad_metric, text, &report);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(status.message(), "unknown metric: recall");
+  EXPECT_EQ(status.message(),
+            "field 'metric' must be one of {coverage, accuracy, freshness, "
+            "mix}, got 'recall'");
   EXPECT_TRUE(text.str().empty());
 }
 
@@ -441,6 +458,64 @@ TEST_F(EngineTest, WireBoundsAreReCheckedForInProcessCallers) {
   outcome = engine.ExecuteQuery(params);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, CodecAndEngineRefuseTheSameQueriesAlike) {
+  // One validator serves the wire and the in-process entry points, so a
+  // query the daemon refuses is refused with the same message in process,
+  // before the prepared cache is touched.
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Load("default", scratch_.path(), BaseIngest()).ok());
+  Engine engine(&registry);
+
+  using Mutation = void (*)(QueryParams*);
+  const std::vector<Mutation> mutations = {
+      [](QueryParams* p) { p->metric = "recall"; },
+      [](QueryParams* p) { p->gain = "cubic"; },
+      [](QueryParams* p) { p->algorithm = "annealing"; },
+      [](QueryParams* p) { p->budget = 0.0; },
+      [](QueryParams* p) { p->budget = -1.0; },
+      [](QueryParams* p) { p->t0 = -1; },
+      [](QueryParams* p) { p->points = 0; },
+      [](QueryParams* p) { p->points = 4000000000000000000; },
+      [](QueryParams* p) { p->points = kMaxEvalSpanSteps + 1; },
+      [](QueryParams* p) { p->stride = 0; },
+      [](QueryParams* p) { p->stride = 4000000000000000000; },
+      [](QueryParams* p) { p->stride = kMaxEvalSpanSteps + 1; },
+      [](QueryParams* p) { p->points = kMaxEvalSpanSteps, p->stride = 2; },
+      [](QueryParams* p) { p->stride = kMaxEvalSpanSteps, p->points = 2; },
+      [](QueryParams* p) { p->points = 1025, p->stride = 1024; },
+      [](QueryParams* p) { p->stride = kMaxEvalSpanSteps; },
+      [](QueryParams* p) { p->threads = 0; },
+      [](QueryParams* p) { p->threads = kMaxQueryThreads + 1; },
+      [](QueryParams* p) { p->stochastic_epsilon = 0.0; },
+      [](QueryParams* p) { p->stochastic_epsilon = 1.0; },
+      [](QueryParams* p) { p->max_divisor = 0; },
+      [](QueryParams* p) { p->max_divisor = kMaxQueryDivisor + 1; },
+      [](QueryParams* p) { p->kappa = 5000000000; },
+      [](QueryParams* p) { p->kappa = kMaxQueryKappa + 1; },
+      [](QueryParams* p) { p->restarts = 5000000000; },
+      [](QueryParams* p) { p->restarts = kMaxQueryRestarts + 1; },
+      [](QueryParams* p) { p->scenario = ""; },
+      [](QueryParams* p) { p->scenario = "../etc"; },
+      [](QueryParams* p) { p->scenario = "a b"; },
+      [](QueryParams* p) { p->roster = {"a", "a"}; },
+      [](QueryParams* p) { p->roster = {""}; },
+  };
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    QueryParams params = BaseParams();
+    mutations[i](&params);
+    const std::string line = SerializeQueryRequest(false, 0, params);
+    Result<Request> parsed = ParseRequest(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    Result<QueryOutcome> outcome = engine.ExecuteQuery(params);
+    ASSERT_FALSE(outcome.ok()) << line;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(outcome.status().message(), parsed.status().message()) << line;
+  }
+  EXPECT_EQ(engine.prepared_cache_stats().misses, 0u);
+  EXPECT_EQ(engine.prepared_cache_stats().hits, 0u);
 }
 
 TEST_F(EngineTest, ManifestT0IsTheDefaultCutoff) {
