@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "obs/decision_log.h"
+#include "obs/json_reader.h"
 #include "obs/report.h"
 
 namespace freshsel::cli {
@@ -274,8 +275,11 @@ bool IsTimingKey(const std::string& key) {
 /// baseline must exist in the fresh report and (unless --keys-only) stay
 /// within the relative tolerance band; timing keys and gauges are skipped
 /// (wall times and thread counts are machine-dependent). Extra fresh keys
-/// are fine - new instrumentation is not a regression. Returns
-/// FailedPrecondition (non-zero exit) when any key regresses.
+/// are fine - new instrumentation is not a regression. Every top-level key
+/// of the baseline document must be present in the fresh one too, since
+/// `RunReport::FromJson` reads a missing section (`name`, `counters`, ...)
+/// as empty.
+/// Returns FailedPrecondition (non-zero exit) when any key regresses.
 Status CheckRegression(const ArgMap& args, const std::string& fresh_path,
                        std::ostream& out) {
   const std::string baseline_path = args.GetString("baseline", "");
@@ -294,6 +298,10 @@ Status CheckRegression(const ArgMap& args, const std::string& fresh_path,
                             obs::RunReport::ReadJsonFile(fresh_path));
   FRESHSEL_ASSIGN_OR_RETURN(obs::RunReport baseline,
                             obs::RunReport::ReadJsonFile(baseline_path));
+  FRESHSEL_ASSIGN_OR_RETURN(obs::JsonValue fresh_doc,
+                            obs::ParseJsonFile(fresh_path));
+  FRESHSEL_ASSIGN_OR_RETURN(obs::JsonValue baseline_doc,
+                            obs::ParseJsonFile(baseline_path));
 
   std::size_t compared = 0;
   std::size_t skipped = 0;
@@ -331,6 +339,13 @@ Status CheckRegression(const ArgMap& args, const std::string& fresh_path,
                 it == value.end() ? nullptr : &fresh_count);
         }
       };
+  for (const auto& [key, unused] : baseline_doc.members()) {
+    ++compared;
+    if (fresh_doc.Find(key) == nullptr) {
+      ++failed;
+      failures.AddRow({key, "(top-level key)", "(missing)", "-"});
+    }
+  }
   check_counters(baseline.counters, fresh.counters);
   check_counters(baseline.metrics.counters, fresh.metrics.counters);
   for (const auto& [key, base_value] : baseline.values) {

@@ -54,6 +54,12 @@ class BitVector {
   /// |this OR other| without materializing the union.
   std::size_t UnionCount(const BitVector& other) const;
 
+  /// The backing 64-bit words, for callers that walk a sparse subset of
+  /// them. Bits past size() in the last word are zero and must stay zero.
+  std::size_t word_count() const { return words_.size(); }
+  const std::uint64_t* words() const { return words_.data(); }
+  std::uint64_t* mutable_words() { return words_.data(); }
+
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;
   }

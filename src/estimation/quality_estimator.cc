@@ -122,6 +122,11 @@ Result<QualityEstimator::SourceHandle> QualityEstimator::AddSource(
   compact(profile->sig_t0.up, src.up);
   compact(profile->sig_t0.cov, src.cov);
   compact(profile->sig_t0.all, src.all);
+  for (std::size_t w = 0; w < src.up.word_count(); ++w) {
+    const SignatureWord word{w, src.up.words()[w], src.cov.words()[w],
+                             src.all.words()[w]};
+    if ((word.up | word.cov | word.all) != 0) src.words.push_back(word);
+  }
   src.coverage_t0 =
       count_t0_ > 0 ? static_cast<double>(src.cov.Count()) /
                           static_cast<double>(count_t0_)
@@ -291,6 +296,17 @@ QualityEstimator::Scratch QualityEstimator::AcquireScratch() const {
 void QualityEstimator::ReleaseScratch(Scratch&& scratch) const {
   MutexLock lock(sync_->mutex);
   sync_->scratch_pool.push_back(std::move(scratch));
+}
+
+template <typename Visitor>
+void QualityEstimator::EvalContext::ForEachProductArray(Visitor&& visit) {
+  for (TimeState& ts : times_) {
+    visit(ts.miss_ins);
+    visit(ts.miss_del);
+    visit(ts.miss_upd);
+    visit(ts.back_t);
+  }
+  visit(back_t0_);
 }
 
 /// The dispatched evaluation loops. Each `*Body` is the one implementation;
@@ -497,32 +513,52 @@ struct QualityEstimator::Kernels {
     return q;
   }
 
-  /// EvalContext::Push: checkpoint, then grow the union signatures and the
-  /// running per-tau miss products by `handle`.
+  /// EvalContext::Push: log what it overwrites, then grow the union
+  /// signatures, their counts and the running per-tau miss products by
+  /// `handle`.
   [[gnu::always_inline]] static void PushBody(EvalContext& ctx,
                                               SourceHandle handle) {
     const QualityEstimator& est = *ctx.est_;
-    // Snapshot first: Pop restores state bit-exactly from the checkpoint
-    // rather than dividing the candidate's factors back out (near-zero
-    // miss products would amplify the rounding error of a divide).
-    EvalContext::Checkpoint cp;
-    cp.up = ctx.up_;
-    cp.cov = ctx.cov_;
-    cp.all = ctx.all_;
-    cp.up0 = ctx.up0_;
-    cp.cov0 = ctx.cov0_;
-    cp.all0 = ctx.all0_;
-    cp.times = ctx.times_;
-    cp.back_t0 = ctx.back_t0_;
-    ctx.checkpoints_.push_back(std::move(cp));
-
     const RegisteredSource& src = est.sources_[handle];
-    ctx.up_.OrWith(src.up);
-    ctx.cov_.OrWith(src.cov);
-    ctx.all_.OrWith(src.all);
-    ctx.up0_ = static_cast<double>(ctx.up_.Count());
-    ctx.cov0_ = static_cast<double>(ctx.cov_.Count());
-    ctx.all0_ = static_cast<double>(ctx.all_.Count());
+    // Log first: Pop restores state bit-exactly from the logs rather than
+    // dividing the candidate's factors back out (near-zero miss products
+    // would amplify the rounding error of a divide).
+    ctx.checkpoints_.push_back(
+        {ctx.saved_words_.size(), ctx.saved_products_.size(), ctx.counts_});
+    ctx.ForEachProductArray([&](const std::vector<double>& products) {
+      ctx.saved_products_.insert(ctx.saved_products_.end(), products.begin(),
+                                 products.end());
+    });
+
+    // Only the source's nonzero words can change. Union counts are exact
+    // integers, so adding the newly set bits equals recounting.
+    const std::size_t nwords = src.words.size();
+    const std::size_t log_begin = ctx.saved_words_.size();
+    ctx.saved_words_.resize(log_begin + nwords);
+    SignatureWord* log = ctx.saved_words_.data() + log_begin;
+    const SignatureWord* add = src.words.data();
+    std::uint64_t* up = ctx.up_.mutable_words();
+    std::uint64_t* cov = ctx.cov_.mutable_words();
+    std::uint64_t* all = ctx.all_.mutable_words();
+    std::size_t up_added = 0;
+    std::size_t cov_added = 0;
+    std::size_t all_added = 0;
+    for (std::size_t i = 0; i < nwords; ++i) {
+      const std::size_t w = add[i].index;
+      log[i] = {w, up[w], cov[w], all[w]};
+      up_added += static_cast<std::size_t>(
+          __builtin_popcountll(add[i].up & ~up[w]));
+      cov_added += static_cast<std::size_t>(
+          __builtin_popcountll(add[i].cov & ~cov[w]));
+      all_added += static_cast<std::size_t>(
+          __builtin_popcountll(add[i].all & ~all[w]));
+      up[w] |= add[i].up;
+      cov[w] |= add[i].cov;
+      all[w] |= add[i].all;
+    }
+    ctx.counts_.up += up_added;
+    ctx.counts_.cov += cov_added;
+    ctx.counts_.all += all_added;
 
     for (std::size_t ti = 0; ti < ctx.times_.size(); ++ti) {
       EvalContext::TimeState& ts = ctx.times_[ti];
@@ -789,12 +825,12 @@ QualityEstimator::EvalContext::EvalContext(const QualityEstimator* est)
 void QualityEstimator::EvalContext::Clear() {
   pushed_.clear();
   checkpoints_.clear();
+  saved_words_.clear();
+  saved_products_.clear();
   up_.Clear();
   cov_.Clear();
   all_.Clear();
-  up0_ = 0.0;
-  cov0_ = 0.0;
-  all0_ = 0.0;
+  counts_ = {};
   for (TimeState& ts : times_) {
     std::fill(ts.miss_ins.begin(), ts.miss_ins.end(), 1.0);
     std::fill(ts.miss_del.begin(), ts.miss_del.end(), 1.0);
@@ -814,22 +850,45 @@ void QualityEstimator::EvalContext::Push(SourceHandle handle) {
 
 void QualityEstimator::EvalContext::Pop() {
   FRESHSEL_CHECK(!pushed_.empty()) << "Pop on an empty EvalContext";
-  Checkpoint& cp = checkpoints_.back();
-  up_ = std::move(cp.up);
-  cov_ = std::move(cp.cov);
-  all_ = std::move(cp.all);
-  up0_ = cp.up0;
-  cov0_ = cp.cov0;
-  all0_ = cp.all0;
-  times_ = std::move(cp.times);
-  back_t0_ = std::move(cp.back_t0);
+  const Checkpoint& cp = checkpoints_.back();
+  std::uint64_t* up = up_.mutable_words();
+  std::uint64_t* cov = cov_.mutable_words();
+  std::uint64_t* all = all_.mutable_words();
+  for (std::size_t i = cp.words_begin; i < saved_words_.size(); ++i) {
+    const SignatureWord& saved = saved_words_[i];
+    up[saved.index] = saved.up;
+    cov[saved.index] = saved.cov;
+    all[saved.index] = saved.all;
+  }
+  std::size_t pos = cp.products_begin;
+  ForEachProductArray([&](std::vector<double>& products) {
+    std::copy_n(saved_products_.begin() + static_cast<std::ptrdiff_t>(pos),
+                products.size(), products.begin());
+    pos += products.size();
+  });
+  counts_ = cp.counts;
+  saved_words_.resize(cp.words_begin);
+  saved_products_.resize(cp.products_begin);
   checkpoints_.pop_back();
   pushed_.pop_back();
 }
 
+void QualityEstimator::EvalContext::Reset(
+    const std::vector<SourceHandle>& set) {
+  const std::size_t common = static_cast<std::size_t>(
+      std::mismatch(pushed_.begin(), pushed_.end(), set.begin(), set.end())
+          .first -
+      pushed_.begin());
+  while (pushed_.size() > common) Pop();
+  for (std::size_t i = common; i < set.size(); ++i) Push(set[i]);
+}
+
 EstimatedQuality QualityEstimator::EvalContext::EstimateAtIndex(
-    std::size_t t_index, const SourceHandle* candidate, double up0,
-    double cov0, double all0) const {
+    std::size_t t_index, const SourceHandle* candidate,
+    const UnionCounts& counts) const {
+  const double up0 = static_cast<double>(counts.up);
+  const double cov0 = static_cast<double>(counts.cov);
+  const double all0 = static_cast<double>(counts.all);
   const TimeTable& table = est_->tables_[t_index];
   const TimeState& ts = times_[t_index];
   const bool backlog = !back_t0_.empty() && !ts.back_t.empty();
@@ -848,6 +907,13 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateAtIndex(
                                               miss);
 }
 
+QualityEstimator::EvalContext::UnionCounts
+QualityEstimator::EvalContext::CountsWith(SourceHandle handle) const {
+  const RegisteredSource& src = est_->sources_[handle];
+  return {up_.UnionCount(src.up), cov_.UnionCount(src.cov),
+          all_.UnionCount(src.all)};
+}
+
 EstimatedQuality QualityEstimator::EvalContext::EstimateCurrent(
     TimePoint t) const {
   FRESHSEL_CHECK(est_ != nullptr) << "EvalContext used before MakeEvalContext";
@@ -855,7 +921,7 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateCurrent(
   FRESHSEL_CHECK(t_index != kNoTimeIndex)
       << "EvalContext only evaluates at registered eval times (got " << t
       << ")";
-  return EstimateAtIndex(t_index, nullptr, up0_, cov0_, all0_);
+  return EstimateAtIndex(t_index, nullptr, counts_);
 }
 
 EstimatedQuality QualityEstimator::EvalContext::EstimateWith(
@@ -868,11 +934,7 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateWith(
   FRESHSEL_CHECK(t_index != kNoTimeIndex)
       << "EvalContext only evaluates at registered eval times (got " << t
       << ")";
-  const RegisteredSource& src = est_->sources_[handle];
-  const double up0 = static_cast<double>(up_.UnionCount(src.up));
-  const double cov0 = static_cast<double>(cov_.UnionCount(src.cov));
-  const double all0 = static_cast<double>(all_.UnionCount(src.all));
-  return EstimateAtIndex(t_index, &handle, up0, cov0, all0);
+  return EstimateAtIndex(t_index, &handle, CountsWith(handle));
 }
 
 void QualityEstimator::EvalContext::EstimateAllTimes(
@@ -880,7 +942,7 @@ void QualityEstimator::EvalContext::EstimateAllTimes(
   FRESHSEL_CHECK(est_ != nullptr) << "EvalContext used before MakeEvalContext";
   out.resize(est_->eval_times_.size());
   for (std::size_t ti = 0; ti < out.size(); ++ti) {
-    out[ti] = EstimateAtIndex(ti, nullptr, up0_, cov0_, all0_);
+    out[ti] = EstimateAtIndex(ti, nullptr, counts_);
   }
 }
 
@@ -890,13 +952,10 @@ void QualityEstimator::EvalContext::EstimateAllTimesWith(
   FRESHSEL_CHECK(handle < est_->sources_.size())
       << "unknown source handle " << handle << " (registered: "
       << est_->sources_.size() << ")";
-  const RegisteredSource& src = est_->sources_[handle];
-  const double up0 = static_cast<double>(up_.UnionCount(src.up));
-  const double cov0 = static_cast<double>(cov_.UnionCount(src.cov));
-  const double all0 = static_cast<double>(all_.UnionCount(src.all));
+  const UnionCounts counts = CountsWith(handle);
   out.resize(est_->eval_times_.size());
   for (std::size_t ti = 0; ti < out.size(); ++ti) {
-    out[ti] = EstimateAtIndex(ti, &handle, up0, cov0, all0);
+    out[ti] = EstimateAtIndex(ti, &handle, counts);
   }
 }
 

@@ -70,8 +70,11 @@ struct EstimatedQuality {
 ///
 /// `EvalContext` is the incremental counterpart: it carries the running
 /// union signatures and per-tau miss products of a *current* set S, so
-/// scoring S + {x} costs O(t - t0) per time point, independent of |S|.
-/// The greedy selection loop drops from O(k^2 n) to O(k n) estimator work.
+/// scoring S + {x} costs O(t - t0) per time point plus one union count
+/// over the compact domain, independent of |S|. Growing or shrinking S by
+/// one source costs O(nonzero signature words of that source + the
+/// miss-product arrays), independent of the domain size. The greedy
+/// selection loop drops from O(k^2 n) to O(k n) estimator work.
 ///
 /// Thread safety: `Create` and `AddSource` must run single-threaded, but
 /// once registration is done the evaluation path (`Estimate`,
@@ -83,13 +86,24 @@ struct EstimatedQuality {
 /// single-threaded; create one per thread.
 ///
 /// The hot loops (the miss-product multiply, the expectation fold and
-/// `EvalContext::Push`) are dispatched at run time to an x86-64-v3 copy
-/// when the CPU has one; both copies publish the same bits
-/// (common/simd.h).
+/// `EvalContext::Push`, whose word loop counts bits) are dispatched at run
+/// time to an x86-64-v3 copy when the CPU has one; both copies publish
+/// the same bits (common/simd.h).
 class QualityEstimator {
  private:
   /// Per-ISA copies of the hot evaluation loops (quality_estimator.cc).
   struct Kernels;
+
+  /// One 64-bit word of the compact up/cov/all signatures, by word index.
+  /// A source keeps the words where any of its three is nonzero; an
+  /// `EvalContext` logs its own words there before a `Push` overwrites
+  /// them.
+  struct SignatureWord {
+    std::size_t index;
+    std::uint64_t up;
+    std::uint64_t cov;
+    std::uint64_t all;
+  };
 
  public:
   using SourceHandle = std::uint32_t;
@@ -127,13 +141,17 @@ class QualityEstimator {
   };
 
   /// Incremental delta-evaluation state over a *current* set S: the union
-  /// up/cov/all signatures and, per eval time, the running per-tau
-  /// miss-product arrays (products over the pushed sources of their miss
-  /// factors). `Push` grows S by one source in O(steps) per eval time;
-  /// `Pop` restores the previous state exactly from a checkpoint stack
-  /// (never by dividing factors back out - near-zero miss products would
-  /// amplify rounding error, while checkpoint restore is bit-exact).
-  /// `EstimateWith(x, t)` scores S + {x} in O(t - t0), independent of |S|.
+  /// up/cov/all signatures with their counts and, per eval time, the
+  /// running per-tau miss-product arrays (products over the pushed sources
+  /// of their miss factors). `Push(x)` costs O(nonzero signature words of
+  /// x) plus O(steps) per eval time: it logs the context's words where x
+  /// has bits and the miss products, then ORs x in and adds the newly set
+  /// bits to the counts. `Pop` writes the logged words and products back,
+  /// so it restores the previous state exactly (never by dividing factors
+  /// back out - near-zero miss products would amplify rounding error).
+  /// The logs are flat stacks that keep their capacity, so a steady-state
+  /// Push allocates nothing. `EstimateWith(x, t)` scores S + {x} in
+  /// O(t - t0) plus one union count per signature, independent of |S|.
   ///
   /// Evaluations are only supported at the estimator's registered eval
   /// times (the cacheable points the selection oracles use). The owning
@@ -153,13 +171,29 @@ class QualityEstimator {
     const std::vector<SourceHandle>& pushed() const { return pushed_; }
     std::size_t size() const { return pushed_.size(); }
 
+    /// Set-bit counts of the current set's union signatures at t0.
+    struct UnionCounts {
+      std::size_t up = 0;
+      std::size_t cov = 0;
+      std::size_t all = 0;
+      friend bool operator==(const UnionCounts& a, const UnionCounts& b) {
+        return a.up == b.up && a.cov == b.cov && a.all == b.all;
+      }
+    };
+    const UnionCounts& counts() const { return counts_; }
+
     /// Drops every pushed source and checkpoint: back to the empty set.
     void Clear();
-    /// Extends the current set by `handle`, saving a checkpoint first.
+    /// Extends the current set by `handle`, logging what it overwrites.
     void Push(SourceHandle handle);
     /// Restores the state from before the most recent `Push`, bit-exactly.
     /// Pre: size() > 0.
     void Pop();
+    /// Makes pushed() equal `set`, in its order: pops back to the longest
+    /// common prefix of the two, then pushes the rest. Pop restores
+    /// exactly, so the state is bit-identical to `Clear()` and pushing all
+    /// of `set`.
+    void Reset(const std::vector<SourceHandle>& set);
 
     /// Quality of the current set S at eval time `t`. O(t - t0).
     EstimatedQuality EstimateCurrent(TimePoint t) const;
@@ -187,38 +221,44 @@ class QualityEstimator {
       /// unless Options::model_capture_backlog.
       std::vector<double> back_t;
     };
-    /// Snapshot of the full mutable state, taken by Push for Pop.
+    /// Where one Push's undo data starts in the flat logs, plus the
+    /// counts before it.
     struct Checkpoint {
-      BitVector up;
-      BitVector cov;
-      BitVector all;
-      double up0 = 0.0;
-      double cov0 = 0.0;
-      double all0 = 0.0;
-      std::vector<TimeState> times;
-      std::vector<double> back_t0;
+      std::size_t words_begin = 0;
+      std::size_t products_begin = 0;
+      UnionCounts counts;
     };
 
     explicit EvalContext(const QualityEstimator* est);
 
     EstimatedQuality EstimateAtIndex(std::size_t t_index,
                                      const SourceHandle* candidate,
-                                     double up0, double cov0,
-                                     double all0) const;
+                                     const UnionCounts& counts) const;
+    /// The union counts of S + {handle}, without mutating the context.
+    UnionCounts CountsWith(SourceHandle handle) const;
+    /// Calls `visit(array)` on every miss-product array, in one fixed
+    /// order (the layout of a Push's block in `saved_products_`).
+    template <typename Visitor>
+    void ForEachProductArray(Visitor&& visit);
 
     const QualityEstimator* est_ = nullptr;
     std::vector<SourceHandle> pushed_;
     BitVector up_;
     BitVector cov_;
     BitVector all_;
-    double up0_ = 0.0;
-    double cov0_ = 0.0;
-    double all0_ = 0.0;
+    UnionCounts counts_;
     std::vector<TimeState> times_;
     /// Per-tau capture-backlog miss-by-t0 products (shared by all eval
     /// times); empty unless Options::model_capture_backlog.
     std::vector<double> back_t0_;
+    /// One entry per Push, plus the two logs it indexes: the context's
+    /// previous values of the pushed source's signature words, and of
+    /// every miss-product array. Bounded by the sum over the pushed
+    /// sources of their nonzero words (32 bytes each) and |S| copies of
+    /// the miss products.
     std::vector<Checkpoint> checkpoints_;
+    std::vector<SignatureWord> saved_words_;
+    std::vector<double> saved_products_;
   };
 
   /// `domain` restricts all metrics to those subdomains (empty => whole
@@ -296,6 +336,9 @@ class QualityEstimator {
     BitVector up;   // Compact signatures over the restricted domain.
     BitVector cov;
     BitVector all;
+    /// The words where any of up/cov/all is nonzero, in index order: all
+    /// `EvalContext::Push` and `Pop` touch of the signatures.
+    std::vector<SignatureWord> words;
     double coverage_t0 = 0.0;
     /// Capture-backlog miss factors 1 - Eff(g_ins, t0, tau) for
     /// tau = 1 .. t0; empty unless Options::model_capture_backlog (they

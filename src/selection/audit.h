@@ -25,8 +25,7 @@ namespace freshsel::selection {
 ///
 /// The cache-hit sampling goes through CachedProfitOracle::hit_count()
 /// (lock-free) when the oracle is the memoizing decorator, discovered with
-/// one dynamic_cast at construction - the same idiom the decorator itself
-/// uses to discover a GainCostFunction base.
+/// one dynamic_cast at construction.
 ///
 /// With no log attached active() is false and every
 /// `if (audit.active()) { ... }` recording block is skipped.

@@ -26,7 +26,7 @@ std::size_t CachedProfitOracle::SetHash::operator()(
 
 CachedProfitOracle::CachedProfitOracle(const ProfitFunction& base)
     : base_(&base),
-      gain_cost_(dynamic_cast<const GainCostFunction*>(&base)) {}
+      gain_cost_(base.gain_cost()) {}
 
 CachedProfitOracle::Cache& CachedProfitOracle::CacheFor(
     CacheKind kind) const {

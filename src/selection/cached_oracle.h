@@ -64,6 +64,13 @@ class CachedProfitOracle : public GainCostFunction {
   double budget() const override;
   bool thread_safe() const override { return base_->thread_safe(); }
 
+  /// This decorator when the wrapped oracle has a gain/cost
+  /// decomposition, else null (so `SelectSources` refuses BudgetedGreedy
+  /// over a plain-profit base instead of failing inside `budget()`).
+  const GainCostFunction* gain_cost() const override {
+    return gain_cost_ != nullptr ? this : nullptr;
+  }
+
   /// Forwards the wrapped oracle's submodularity: memoizing changes no
   /// value, so the serve path keeps CELF for submodular profits.
   bool submodular() const override { return base_->submodular(); }

@@ -114,11 +114,12 @@ class ProfitOracle::IncrementalContext final : public MarginalEvalContext {
   explicit IncrementalContext(const ProfitOracle* oracle)
       : oracle_(oracle), ctx_(oracle->estimator_->MakeEvalContext()) {}
 
+  /// Keeps the prefix the context already holds: after an accepted move
+  /// only the sources sorting after it are pushed again.
   void Reset(const std::vector<SourceHandle>& set) override {
     FRESHSEL_DCHECK(std::is_sorted(set.begin(), set.end()))
         << "Reset expects a canonically sorted set";
-    ctx_.Clear();
-    for (SourceHandle h : set) ctx_.Push(h);
+    ctx_.Reset(set);
     sorted_ = set;
   }
 

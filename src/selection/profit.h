@@ -15,13 +15,17 @@ namespace freshsel::selection {
 
 using SourceHandle = estimation::QualityEstimator::SourceHandle;
 
+class GainCostFunction;
+
 /// Incremental marginal-evaluation protocol over a profit oracle: the
 /// context carries the evaluation state of a *current* set S so that
 /// scoring S + {x} costs O(1) oracle-internal work per candidate instead
 /// of re-evaluating the whole set (for the estimator-backed oracle:
-/// O(steps * |T_f|) instead of O(|S| * steps * |T_f|)). The greedy family
-/// re-roots the context with `Reset` after each accepted move, turning a
-/// selection run from O(k^2 n) into O(k n) estimator work.
+/// O(steps * |T_f| + domain words) instead of O(|S| * (steps * |T_f| +
+/// domain words))). The greedy family re-roots the context with `Reset`
+/// after each accepted move, turning a selection run from O(k^2 n) into
+/// O(k n) estimator work; the estimator-backed `Reset` keeps the prefix
+/// the context already holds and pushes only the sources after it.
 ///
 /// Calling conventions mirror the plain oracle: `CurrentProfit`/`GainWith`
 /// etc. count one oracle call each (infeasible `ProfitWith`/`CurrentProfit`
@@ -41,6 +45,7 @@ class MarginalEvalContext {
 
   /// Rebuilds the context over `set`, which must be canonically sorted
   /// (the representation the selection layer maintains, see set_util.h).
+  /// The resulting state is the same as building it from empty.
   virtual void Reset(const std::vector<SourceHandle>& set) = 0;
   /// Extends the current set by `handle`.
   virtual void Push(SourceHandle handle) = 0;
@@ -101,6 +106,11 @@ class ProfitFunction {
     return nullptr;
   }
 
+  /// This oracle's gain/cost decomposition, or null when it has none.
+  /// Ask this rather than `dynamic_cast`: a decorator may be a
+  /// `GainCostFunction` by type over a base that is not one.
+  virtual const GainCostFunction* gain_cost() const { return nullptr; }
+
   std::uint64_t call_count() const {
     return calls_.load(std::memory_order_relaxed);
   }
@@ -137,6 +147,8 @@ class GainCostFunction : public ProfitFunction {
 
   /// Budget on `Cost`; +infinity when unconstrained.
   virtual double budget() const = 0;
+
+  const GainCostFunction* gain_cost() const override { return this; }
 };
 
 /// How per-time-point gains are aggregated over T_f (the paper's A in
@@ -209,8 +221,11 @@ class ProfitOracle : public GainCostFunction {
   bool supports_incremental() const override;
 
   /// An incremental context backed by the estimator's `EvalContext`:
-  /// `ProfitWith`/`GainWith` score S + {x} in O(steps * |T_f|),
-  /// independent of |S|. Null when `supports_incremental()` is false.
+  /// `ProfitWith`/`GainWith` score S + {x} in O(steps * |T_f| + domain
+  /// words), independent of |S|; `Push`/`Pop` cost O(nonzero signature
+  /// words of the source + steps * |T_f|); `Reset(set)` pops back to the
+  /// longest common prefix of the pushed sources and `set` and pushes the
+  /// rest. Null when `supports_incremental()` is false.
   std::unique_ptr<MarginalEvalContext> MakeContext() const override;
 
   /// Budget on normalized cost (from the config; +infinity by default).

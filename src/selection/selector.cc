@@ -53,7 +53,7 @@ Result<SelectionResult> Dispatch(const ProfitFunction& oracle,
       return Grasp(oracle, params, matroid);
     }
     case Algorithm::kBudgeted: {
-      const auto* gain_cost = dynamic_cast<const GainCostFunction*>(&oracle);
+      const GainCostFunction* gain_cost = oracle.gain_cost();
       if (gain_cost == nullptr) {
         return Status::InvalidArgument(
             "BudgetedGreedy needs a gain/cost oracle");

@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/args.h"
@@ -204,6 +206,58 @@ TEST_F(ReportCliTest, CheckRegressionKeysOnlyIgnoresValues) {
       out2);
   EXPECT_FALSE(status2.ok());
   EXPECT_NE(out2.str().find("(missing)"), std::string::npos);
+}
+
+// The reader defaults a missing `name` or `counters`, so the gate checks
+// the documents' top-level keys itself: every one the baseline has must
+// be in the fresh report, even where the baseline's value is empty.
+TEST_F(ReportCliTest, CheckRegressionFailsOnEveryMissingTopLevelKey) {
+  const std::vector<std::pair<std::string, std::string>> members = {
+      {"schema_version", "2"},
+      {"name", "\"bench\""},
+      {"labels", "{}"},
+      {"values", "{}"},
+      {"counters", "{}"},
+      {"stages", "[]"},
+      {"metrics", "{\"counters\": {\"selection.oracle.calls\": 64}}"}};
+  const auto document = [&](const std::string& without) {
+    std::string json = "{";
+    for (const auto& [key, value] : members) {
+      if (key == without) continue;
+      if (json.size() > 1) json += ", ";
+      json += "\"" + key + "\": " + value;
+    }
+    return json + "}";
+  };
+  const auto write = [&](const std::string& text, const std::string& stem) {
+    const std::string path = ::testing::TempDir() + "/" + stem + ".json";
+    std::ofstream(path) << text << "\n";
+    written_.push_back(path);
+    return path;
+  };
+  const std::string base_path = write(document(""), "report_cli_keys_base");
+  const auto check = [&](const std::string& fresh_path, std::string& out) {
+    std::ostringstream stream;
+    const Status status = RunReportCommand(
+        ParseReportArgs({"report", "check-regression", fresh_path.c_str(),
+                         "--baseline", base_path.c_str(), "--keys-only"}),
+        stream);
+    out = stream.str();
+    return status;
+  };
+  std::string out;
+  const std::string same_path = write(document(""), "report_cli_keys_same");
+  ASSERT_TRUE(check(same_path, out).ok()) << out;
+
+  for (const auto& [key, unused] : members) {
+    if (key == "schema_version") continue;  // Unreadable without it.
+    const std::string fresh_path =
+        write(document(key), "report_cli_keys_no_" + key);
+    const Status status = check(fresh_path, out);
+    EXPECT_FALSE(status.ok()) << "fresh report without " << key;
+    EXPECT_NE(out.find(key), std::string::npos) << out;
+    EXPECT_NE(out.find("(missing)"), std::string::npos) << out;
+  }
 }
 
 TEST_F(ReportCliTest, RejectsBadInvocations) {

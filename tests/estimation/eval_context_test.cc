@@ -7,18 +7,21 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/bit_vector.h"
 #include "common/random.h"
 #include "common/time_types.h"
 #include "estimation/quality_estimator.h"
 #include "estimation/source_profile.h"
 #include "estimation/world_change_model.h"
 #include "source/source_simulator.h"
+#include "world/world.h"
 #include "world/world_simulator.h"
 
 namespace freshsel::estimation {
@@ -275,6 +278,197 @@ TEST_P(EvalContextTest, SingletonDeltaFromEmptySetIsBitIdentical) {
                              "singleton " + std::to_string(s) + ", mask " +
                                  std::to_string(GetParam()));
     }
+  }
+}
+
+/// Checks `ctx` against a context freshly built by pushing the same
+/// sources in the same order, bit for bit: the union counts (also against
+/// a dense union of the profiles' signatures over `domain_entities`),
+/// `EstimateAllTimes`, and `EstimateAllTimesWith` for every registered
+/// source.
+void ExpectSameAsFreshContext(
+    const QualityEstimator& est, const QualityEstimator::EvalContext& ctx,
+    const std::vector<world::EntityId>& domain_entities,
+    const std::string& what) {
+  QualityEstimator::EvalContext fresh = est.MakeEvalContext();
+  for (SourceHandle h : ctx.pushed()) fresh.Push(h);
+  ASSERT_EQ(ctx.pushed(), fresh.pushed()) << what;
+  EXPECT_EQ(ctx.counts(), fresh.counts()) << what;
+
+  QualityEstimator::EvalContext::UnionCounts dense;
+  const auto in_union = [&](auto signature_of, world::EntityId id) {
+    for (SourceHandle h : ctx.pushed()) {
+      const BitVector& sig = signature_of(est.profile(h).sig_t0);
+      if (id < sig.size() && sig.Test(id)) return true;
+    }
+    return false;
+  };
+  for (world::EntityId id : domain_entities) {
+    dense.up += in_union([](const auto& s) -> const BitVector& { return s.up; },
+                         id);
+    dense.cov += in_union(
+        [](const auto& s) -> const BitVector& { return s.cov; }, id);
+    dense.all += in_union(
+        [](const auto& s) -> const BitVector& { return s.all; }, id);
+  }
+  EXPECT_EQ(ctx.counts(), dense) << what;
+
+  std::vector<EstimatedQuality> got;
+  std::vector<EstimatedQuality> want;
+  ctx.EstimateAllTimes(got);
+  fresh.EstimateAllTimes(want);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ExpectQualityIdentical(got[i], want[i], what + ", current");
+  }
+  for (std::size_t c = 0; c < est.source_count(); ++c) {
+    const SourceHandle candidate = static_cast<SourceHandle>(c);
+    ctx.EstimateAllTimesWith(candidate, got);
+    fresh.EstimateAllTimesWith(candidate, want);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ExpectQualityIdentical(got[i], want[i],
+                             what + ", with " + std::to_string(c));
+    }
+  }
+}
+
+/// A random target for `Reset` relative to the pushed sources: one that
+/// shares a prefix and then differs, extends them, shrinks them, or
+/// shares nothing in particular. Handles are distinct.
+std::vector<SourceHandle> RandomResetTarget(
+    const std::vector<SourceHandle>& pushed, std::size_t n, Rng& rng) {
+  const auto append_random = [&](std::vector<SourceHandle>& set,
+                                 std::size_t count) {
+    for (std::size_t added = 0; added < count && set.size() < n; ++added) {
+      SourceHandle next;
+      do {
+        next = static_cast<SourceHandle>(rng.NextBounded(n));
+      } while (std::find(set.begin(), set.end(), next) != set.end());
+      set.push_back(next);
+    }
+  };
+  std::vector<SourceHandle> target;
+  switch (rng.NextBounded(4)) {
+    case 0:  // Shared prefix, then a different tail.
+      target.assign(pushed.begin(),
+                    pushed.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.NextBounded(pushed.size() + 1)));
+      append_random(target, 1 + rng.NextBounded(3));
+      break;
+    case 1:  // Extends the pushed sources.
+      target = pushed;
+      append_random(target, 1 + rng.NextBounded(3));
+      break;
+    case 2:  // Shrinks them to a prefix.
+      target.assign(pushed.begin(),
+                    pushed.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.NextBounded(pushed.size() + 1)));
+      break;
+    default:  // Any set.
+      append_random(target, rng.NextBounded(n + 1));
+      break;
+  }
+  return target;
+}
+
+/// Random Push / Pop / Reset / Clear steps over `est`, each followed by
+/// the fresh-context comparison.
+void RunRandomSteps(const QualityEstimator& est,
+                    const std::vector<world::EntityId>& domain_entities,
+                    std::uint64_t seed, int steps, const std::string& label) {
+  const std::size_t n = est.source_count();
+  Rng rng(seed);
+  QualityEstimator::EvalContext ctx = est.MakeEvalContext();
+  std::vector<SourceHandle> shadow;
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t op = rng.NextBounded(10);
+    if (op < 4 && shadow.size() < n) {
+      SourceHandle next;
+      do {
+        next = static_cast<SourceHandle>(rng.NextBounded(n));
+      } while (std::find(shadow.begin(), shadow.end(), next) != shadow.end());
+      ctx.Push(next);
+      shadow.push_back(next);
+    } else if (op < 6 && !shadow.empty()) {
+      ctx.Pop();
+      shadow.pop_back();
+    } else if (op < 9) {
+      shadow = RandomResetTarget(shadow, n, rng);
+      ctx.Reset(shadow);
+    } else {
+      ctx.Clear();
+      shadow.clear();
+    }
+    ASSERT_EQ(ctx.pushed(), shadow) << label << ", step " << step;
+    ExpectSameAsFreshContext(est, ctx, domain_entities,
+                             label + ", step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST_P(EvalContextTest, RandomPushPopResetMatchesFreshContext) {
+  const QualityEstimator::Options options = OptionsFromMask(GetParam());
+  const TimePoints eval_times = {kT0 + 15, kT0 + 45, kT0 + 90};
+  const auto domain_entities =
+      [&](const std::vector<world::SubdomainId>& domain) {
+        std::vector<world::EntityId> ids;
+        for (world::SubdomainId sub : domain) {
+          for (world::EntityId id : world_->EntitiesInSubdomain(sub)) {
+            ids.push_back(id);
+          }
+        }
+        return ids;
+      };
+  const std::string mask = ", mask " + std::to_string(GetParam());
+
+  // The whole domain, plus a source with no set bits.
+  SourceProfile blank = profiles_[0];
+  blank.name = "blank";
+  blank.sig_t0.up.Clear();
+  blank.sig_t0.cov.Clear();
+  blank.sig_t0.all.Clear();
+  {
+    QualityEstimator est =
+        QualityEstimator::Create(*world_, *model_, {}, eval_times, options)
+            .value();
+    for (const SourceProfile& p : profiles_) {
+      ASSERT_TRUE(est.AddSource(&p, 1).ok());
+    }
+    ASSERT_TRUE(est.AddSource(&blank, 1).ok());
+    RunRandomSteps(est, domain_entities({0, 1, 2, 3}), 7, 60,
+                   "whole domain" + mask);
+  }
+
+  // A restricted domain whose width is not a multiple of 64 bits; the
+  // specialists of the other subdomains have no bits in it.
+  {
+    const std::vector<world::SubdomainId> domain = {1, 3};
+    const std::vector<world::EntityId> ids = domain_entities(domain);
+    ASSERT_NE(ids.size() % 64, 0u);
+    QualityEstimator est =
+        QualityEstimator::Create(*world_, *model_, domain, eval_times,
+                                 options)
+            .value();
+    for (const SourceProfile& p : profiles_) {
+      ASSERT_TRUE(est.AddSource(&p, 1).ok());
+    }
+    RunRandomSteps(est, ids, 11, 60, "restricted domain" + mask);
+  }
+
+  // An augmented universe: every profile at several divisors, so the
+  // same signature words are pushed again on top of themselves.
+  {
+    QualityEstimator est =
+        QualityEstimator::Create(*world_, *model_, {}, eval_times, options)
+            .value();
+    for (const SourceProfile& p : profiles_) {
+      for (std::int64_t divisor : {1, 2, 5}) {
+        ASSERT_TRUE(est.AddSource(&p, divisor).ok());
+      }
+    }
+    RunRandomSteps(est, domain_entities({0, 1, 2, 3}), 13, 60,
+                   "augmented universe" + mask);
   }
 }
 

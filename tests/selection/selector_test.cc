@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "selection/cached_oracle.h"
 #include "selection/profit.h"
 
 namespace freshsel::selection {
@@ -66,6 +67,22 @@ TEST(SelectorTest, BudgetedNeedsAGainCostOracle) {
   Result<SelectionResult> result = SelectSources(f, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The memoizing decorator is a GainCostFunction by type; over a plain
+// profit it must be refused the same way, not abort inside budget().
+TEST(SelectorTest, BudgetedRefusesACachedPlainProfitOracle) {
+  ModularFunction f({1.0, 2.0});
+  CachedProfitOracle cached(f);
+  SelectorConfig config;
+  config.algorithm = Algorithm::kBudgeted;
+  Result<SelectionResult> plain = SelectSources(f, config);
+  Result<SelectionResult> result = SelectSources(cached, config);
+  ASSERT_FALSE(plain.ok());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), plain.status().message());
+  EXPECT_EQ(cached.gain_cost(), nullptr);
 }
 
 }  // namespace
