@@ -90,7 +90,7 @@ Result<QualityEstimator> QualityEstimator::Create(
   }
   std::sort(est.time_index_.begin(), est.time_index_.end());
 
-  est.sync_ = std::make_unique<SyncState>();
+  est.fill_mutex_ = std::make_unique<Mutex>();
   return est;
 }
 
@@ -260,7 +260,7 @@ const QualityEstimator::SourceTimeTable& QualityEstimator::SourceTableFor(
     FRESHSEL_OBS_COUNT("estimation.memo.hits", 1);
     return *table;
   }
-  MutexLock lock(sync_->mutex);
+  MutexLock lock(*fill_mutex_);
   if (const SourceTimeTable* table =
           slot.table.load(std::memory_order_relaxed)) {
     FRESHSEL_OBS_COUNT("estimation.memo.hits", 1);
@@ -272,30 +272,6 @@ const QualityEstimator::SourceTimeTable& QualityEstimator::SourceTableFor(
   const SourceTimeTable* raw = built.release();
   slot.table.store(raw, std::memory_order_release);
   return *raw;
-}
-
-QualityEstimator::Scratch QualityEstimator::AcquireScratch() const {
-  {
-    MutexLock lock(sync_->mutex);
-    if (!sync_->scratch_pool.empty()) {
-      Scratch scratch = std::move(sync_->scratch_pool.back());
-      sync_->scratch_pool.pop_back();
-      scratch.up.Clear();
-      scratch.cov.Clear();
-      scratch.all.Clear();
-      return scratch;
-    }
-  }
-  Scratch scratch;
-  scratch.up = BitVector(compact_size_);
-  scratch.cov = BitVector(compact_size_);
-  scratch.all = BitVector(compact_size_);
-  return scratch;
-}
-
-void QualityEstimator::ReleaseScratch(Scratch&& scratch) const {
-  MutexLock lock(sync_->mutex);
-  sync_->scratch_pool.push_back(std::move(scratch));
 }
 
 template <typename Visitor>
@@ -324,85 +300,6 @@ struct QualityEstimator::Kernels {
     const double* back_t = nullptr;
   };
 
-  /// The product arrays of a full evaluation's scratch; the backlog arrays
-  /// only when `backlog` (they are stale otherwise).
-  static MissProducts FullProducts(const Scratch& scratch, bool backlog) {
-    return {scratch.miss_ins.data(), scratch.miss_del.data(),
-            scratch.miss_upd.data(),
-            backlog ? scratch.back_t0.data() : nullptr,
-            backlog ? scratch.back_t.data() : nullptr};
-  }
-
-  /// Multiplies `handle`'s miss factors at `table` into the scratch product
-  /// arrays, from the memo when `t_index` is a registered eval time,
-  /// recomputed ad hoc otherwise.
-  [[gnu::always_inline]] static void MultiplyMissFactorsBody(
-      const QualityEstimator& est, SourceHandle handle, std::size_t t_index,
-      const TimeTable& table, Scratch& scratch) {
-    const RegisteredSource& src = est.sources_[handle];
-    const std::size_t steps = table.steps;
-    const bool backlog = !scratch.back_t0.empty();
-    double* mi = scratch.miss_ins.data();
-    double* md = scratch.miss_del.data();
-    double* mu = scratch.miss_upd.data();
-    if (t_index != kNoTimeIndex) {
-      // Elementwise kernels: lane-independent IEEE ops, so every backend
-      // is bit-identical to the scalar loop (see common/simd.h). The floor
-      // is the underflow fix - see kMissProductFloor.
-      const SourceTimeTable& st = est.SourceTableFor(handle, t_index);
-      simd::MulInPlaceFloored(mi, st.fac_ins.data(), steps,
-                              kMissProductFloor);
-      simd::MulInPlaceFloored(md, st.fac_del.data(), steps,
-                              kMissProductFloor);
-      simd::MulInPlaceFloored(mu, st.fac_upd.data(), steps,
-                              kMissProductFloor);
-      if (backlog) {
-        const std::size_t t0_steps = scratch.back_t0.size();
-        simd::MulInPlaceFloored(scratch.back_t0.data(),
-                                src.backlog_fac_t0.data(), t0_steps,
-                                kMissProductFloor);
-        simd::MulInPlaceFloored(scratch.back_t.data(),
-                                st.backlog_fac_t.data(), t0_steps,
-                                kMissProductFloor);
-      }
-      return;
-    }
-    // Unregistered time point: fold the factors in without materializing a
-    // table. The per-factor arithmetic (including the max-with-floor) is
-    // identical to the memoized path, so both agree bit for bit.
-    const SourceProfile& p = *src.profile;
-    const double td = static_cast<double>(table.t);
-    for (std::size_t i = 0; i < steps; ++i) {
-      const double tau =
-          static_cast<double>(est.t0_ + 1 + static_cast<TimePoint>(i));
-      mi[i] = std::max(
-          mi[i] * (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
-          kMissProductFloor);
-      md[i] = std::max(
-          md[i] * (1.0 - src.coverage_t0 * p.Effectiveness(p.g_delete, td,
-                                                           tau, src.divisor)),
-          kMissProductFloor);
-      mu[i] = std::max(
-          mu[i] * (1.0 - src.coverage_t0 * p.Effectiveness(p.g_update, td,
-                                                           tau, src.divisor)),
-          kMissProductFloor);
-    }
-    if (backlog) {
-      double* s0 = scratch.back_t0.data();
-      double* st_out = scratch.back_t.data();
-      const double* b0 = src.backlog_fac_t0.data();
-      const std::size_t t0_steps = scratch.back_t0.size();
-      for (std::size_t j = 0; j < t0_steps; ++j) {
-        const double tau = static_cast<double>(j + 1);
-        s0[j] = std::max(s0[j] * b0[j], kMissProductFloor);
-        st_out[j] = std::max(
-            st_out[j] *
-                (1.0 - p.Effectiveness(p.g_insert, td, tau, src.divisor)),
-            kMissProductFloor);
-      }
-    }
-  }
-
   /// The shared tail of every evaluation path: folds per-tau miss products
   /// (optionally times one candidate source's factors) into the
   /// expectation sums and the published quality ratios.
@@ -420,7 +317,7 @@ struct QualityEstimator::Kernels {
     // the delta path) folded against the precomputed weights in one loop,
     // in scalar order, so the association (and therefore every published
     // bit) matches the unfactored accumulation. The candidate multiply
-    // applies the same floor as MultiplyMissFactors/Push, so the delta
+    // applies the same floor as Push and the plain path, so the delta
     // path computes literally the same op sequence as a full recompute
     // over set+cand.
     double e_ins = 0.0;
@@ -565,7 +462,7 @@ struct QualityEstimator::Kernels {
       const std::size_t steps = ts.miss_ins.size();
       if (steps == 0 && ts.back_t.empty()) continue;
       const SourceTimeTable& st = est.SourceTableFor(handle, ti);
-      // Same floored elementwise kernels as MultiplyMissFactors, so the
+      // Same floored elementwise kernels as the plain path, so the
       // incremental running products are bit-identical to a full
       // recompute.
       simd::MulInPlaceFloored(ts.miss_ins.data(), st.fac_ins.data(), steps,
@@ -586,13 +483,6 @@ struct QualityEstimator::Kernels {
     ctx.pushed_.push_back(handle);
   }
 
-  static void MultiplyMissFactorsDefault(const QualityEstimator& est,
-                                         SourceHandle handle,
-                                         std::size_t t_index,
-                                         const TimeTable& table,
-                                         Scratch& scratch) {
-    MultiplyMissFactorsBody(est, handle, t_index, table, scratch);
-  }
   template <bool kWithCandidate>
   static EstimatedQuality EvaluateFromProductsDefault(
       const QualityEstimator& est, const TimeTable& table, double up0,
@@ -607,11 +497,6 @@ struct QualityEstimator::Kernels {
   }
 
 #if defined(FRESHSEL_SIMD_DISPATCH)
-  FRESHSEL_TARGET_V3 static void MultiplyMissFactorsV3(
-      const QualityEstimator& est, SourceHandle handle, std::size_t t_index,
-      const TimeTable& table, Scratch& scratch) {
-    MultiplyMissFactorsBody(est, handle, t_index, table, scratch);
-  }
   template <bool kWithCandidate>
   FRESHSEL_TARGET_V3 static EstimatedQuality EvaluateFromProductsV3(
       const QualityEstimator& est, const TimeTable& table, double up0,
@@ -628,12 +513,6 @@ struct QualityEstimator::Kernels {
 #endif
 
   // Entry points: call the copy the dispatcher selects.
-  static void MultiplyMissFactors(const QualityEstimator& est,
-                                  SourceHandle handle, std::size_t t_index,
-                                  const TimeTable& table, Scratch& scratch) {
-    FRESHSEL_SIMD_PICK(MultiplyMissFactorsDefault, MultiplyMissFactorsV3)(
-        est, handle, t_index, table, scratch);
-  }
   template <bool kWithCandidate>
   static EstimatedQuality EvaluateFromProducts(
       const QualityEstimator& est, const TimeTable& table, double up0,
@@ -649,6 +528,77 @@ struct QualityEstimator::Kernels {
   }
 };
 
+void QualityEstimator::EstimatePlain(const std::vector<SourceHandle>& set,
+                                     const TimeTable* tables,
+                                     std::size_t first_index,
+                                     std::size_t count,
+                                     EstimatedQuality* out) const {
+  for (SourceHandle handle : set) {
+    FRESHSEL_CHECK(handle < sources_.size())
+        << "unknown source handle " << handle << " (registered: "
+        << sources_.size() << ")";
+  }
+  // The union counts are shared across every table.
+  BitVector up(compact_size_);
+  BitVector cov(compact_size_);
+  BitVector all(compact_size_);
+  for (SourceHandle handle : set) {
+    const RegisteredSource& src = sources_[handle];
+    up.OrWith(src.up);
+    cov.OrWith(src.cov);
+    all.OrWith(src.all);
+  }
+  const double up0 = static_cast<double>(up.Count());
+  const double cov0 = static_cast<double>(cov.Count());
+  const double all0 = static_cast<double>(all.Count());
+
+  std::vector<double> miss_ins;
+  std::vector<double> miss_del;
+  std::vector<double> miss_upd;
+  std::vector<double> back_t0;
+  std::vector<double> back_t;
+  SourceTimeTable off_grid;
+  for (std::size_t i = 0; i < count; ++i) {
+    const TimeTable& table = tables[i];
+    const std::size_t steps = table.steps;
+    const bool backlog = options_.model_capture_backlog && table.t > t0_ &&
+                         t0_ > 0 && !set.empty();
+    const std::size_t t0_steps = backlog ? static_cast<std::size_t>(t0_) : 0;
+    miss_ins.assign(steps, 1.0);
+    miss_del.assign(steps, 1.0);
+    miss_upd.assign(steps, 1.0);
+    back_t0.assign(t0_steps, 1.0);
+    back_t.assign(t0_steps, 1.0);
+    // Per-tau miss products over the set, in set order, with the floored
+    // elementwise kernel Push uses (see kMissProductFloor).
+    for (SourceHandle handle : set) {
+      const RegisteredSource& src = sources_[handle];
+      const SourceTimeTable* st = &off_grid;
+      if (first_index != kNoTimeIndex) {
+        st = &SourceTableFor(handle, first_index + i);
+      } else {
+        off_grid = BuildSourceTable(src, table);
+      }
+      simd::MulInPlaceFloored(miss_ins.data(), st->fac_ins.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(miss_del.data(), st->fac_del.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(miss_upd.data(), st->fac_upd.data(), steps,
+                              kMissProductFloor);
+      simd::MulInPlaceFloored(back_t0.data(), src.backlog_fac_t0.data(),
+                              t0_steps, kMissProductFloor);
+      simd::MulInPlaceFloored(back_t.data(), st->backlog_fac_t.data(),
+                              t0_steps, kMissProductFloor);
+    }
+    FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
+    out[i] = Kernels::EvaluateFromProducts<false>(
+        *this, table, up0, cov0, all0,
+        {miss_ins.data(), miss_del.data(), miss_upd.data(),
+         backlog ? back_t0.data() : nullptr,
+         backlog ? back_t.data() : nullptr});
+  }
+}
+
 EstimatedQuality QualityEstimator::Estimate(
     const std::vector<SourceHandle>& set, TimePoint t) const {
   // The old behavior for t < t0 was a silent all-zero result, which hid
@@ -659,59 +609,13 @@ EstimatedQuality QualityEstimator::Estimate(
       << "Estimate at t=" << t << " beyond the supported horizon (t0=" << t0_
       << ", max steps=" << kMaxEvalHorizonSteps << ")";
   EstimatedQuality q;
-  for (SourceHandle handle : set) {
-    FRESHSEL_CHECK(handle < sources_.size())
-        << "unknown source handle " << handle << " (registered: "
-        << sources_.size() << ")";
-  }
-
-  Scratch scratch = AcquireScratch();
-
-  // Union signature counts at t0, on bitvectors leased from the shared
-  // pool (each concurrent Estimate call gets its own set).
-  for (SourceHandle handle : set) {
-    const RegisteredSource& src = sources_[handle];
-    scratch.up.OrWith(src.up);
-    scratch.cov.OrWith(src.cov);
-    scratch.all.OrWith(src.all);
-  }
-  const double up0 = static_cast<double>(scratch.up.Count());
-  const double cov0 = static_cast<double>(scratch.cov.Count());
-  const double all0 = static_cast<double>(scratch.all.Count());
-
   const std::size_t t_index = TimeIndexOf(t);
-  TimeTable local;
-  const TimeTable* table;
   if (t_index != kNoTimeIndex) {
-    table = &tables_[t_index];
+    EstimatePlain(set, &tables_[t_index], t_index, 1, &q);
   } else {
-    local = MakeTimeTable(t);
-    table = &local;
+    const TimeTable table = MakeTimeTable(t);
+    EstimatePlain(set, &table, kNoTimeIndex, 1, &q);
   }
-
-  // Per-tau miss products over the set, in handle order (scratch vectors
-  // keep their capacity across calls, so the steady state allocates
-  // nothing).
-  scratch.miss_ins.assign(table->steps, 1.0);
-  scratch.miss_del.assign(table->steps, 1.0);
-  scratch.miss_upd.assign(table->steps, 1.0);
-  const bool backlog =
-      options_.model_capture_backlog && t > t0_ && t0_ > 0 && !set.empty();
-  if (backlog) {
-    scratch.back_t0.assign(static_cast<std::size_t>(t0_), 1.0);
-    scratch.back_t.assign(static_cast<std::size_t>(t0_), 1.0);
-  } else {
-    scratch.back_t0.clear();
-    scratch.back_t.clear();
-  }
-  for (SourceHandle handle : set) {
-    Kernels::MultiplyMissFactors(*this, handle, t_index, *table, scratch);
-  }
-
-  FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-  q = Kernels::EvaluateFromProducts<false>(
-      *this, *table, up0, cov0, all0, Kernels::FullProducts(scratch, backlog));
-  ReleaseScratch(std::move(scratch));
   return q;
 }
 
@@ -720,49 +624,7 @@ void QualityEstimator::EstimateAllTimes(
     std::vector<EstimatedQuality>& out) const {
   out.resize(eval_times_.size());
   if (eval_times_.empty()) return;
-  for (SourceHandle handle : set) {
-    FRESHSEL_CHECK(handle < sources_.size())
-        << "unknown source handle " << handle << " (registered: "
-        << sources_.size() << ")";
-  }
-
-  Scratch scratch = AcquireScratch();
-  // The union counts are shared across every eval time - the whole point
-  // of the batched entry point (EstimateAverage used to redo the unions
-  // per time).
-  for (SourceHandle handle : set) {
-    const RegisteredSource& src = sources_[handle];
-    scratch.up.OrWith(src.up);
-    scratch.cov.OrWith(src.cov);
-    scratch.all.OrWith(src.all);
-  }
-  const double up0 = static_cast<double>(scratch.up.Count());
-  const double cov0 = static_cast<double>(scratch.cov.Count());
-  const double all0 = static_cast<double>(scratch.all.Count());
-
-  for (std::size_t ti = 0; ti < eval_times_.size(); ++ti) {
-    const TimeTable& table = tables_[ti];
-    scratch.miss_ins.assign(table.steps, 1.0);
-    scratch.miss_del.assign(table.steps, 1.0);
-    scratch.miss_upd.assign(table.steps, 1.0);
-    const bool backlog = options_.model_capture_backlog &&
-                         table.t > t0_ && t0_ > 0 && !set.empty();
-    if (backlog) {
-      scratch.back_t0.assign(static_cast<std::size_t>(t0_), 1.0);
-      scratch.back_t.assign(static_cast<std::size_t>(t0_), 1.0);
-    } else {
-      scratch.back_t0.clear();
-      scratch.back_t.clear();
-    }
-    for (SourceHandle handle : set) {
-      Kernels::MultiplyMissFactors(*this, handle, ti, table, scratch);
-    }
-    FRESHSEL_OBS_COUNT("estimation.full.evals", 1);
-    out[ti] = Kernels::EvaluateFromProducts<false>(
-        *this, table, up0, cov0, all0,
-        Kernels::FullProducts(scratch, backlog));
-  }
-  ReleaseScratch(std::move(scratch));
+  EstimatePlain(set, tables_.data(), 0, tables_.size(), out.data());
 }
 
 EstimatedQuality QualityEstimator::EstimateAverage(
@@ -792,8 +654,6 @@ EstimatedQuality QualityEstimator::EstimateAverage(
 }
 
 QualityEstimator::EvalContext QualityEstimator::MakeEvalContext() const {
-  FRESHSEL_CHECK(SupportsIncremental())
-      << "MakeEvalContext requires at least one eval time";
   return EvalContext(this);
 }
 

@@ -31,9 +31,9 @@ struct SelectionResult {
 };
 
 /// Tuning knobs for `Greedy` (and `BudgetedGreedy`, which shares them).
-/// Whether rounds use CELF or a full re-scan, and whether candidates are
-/// scored incrementally, is decided from the oracle (`submodular()`,
-/// `supports_incremental()`), never by an option: see greedy_rounds.h.
+/// Whether rounds use CELF or a full re-scan is decided from the oracle
+/// (`submodular()`), never by an option, and candidates are always scored
+/// on the oracle's `MakeContext()`: see greedy_rounds.h.
 struct GreedyOptions {
   /// Stochastic greedy (Mirzasoleiman et al., AAAI 2015 - "lazier than
   /// lazy greedy"): each round scores a uniform random sample of
@@ -149,9 +149,9 @@ std::size_t DeriveSampleK(std::size_t n, const PartitionMatroid* matroid);
 /// restricted candidate list of the `kappa` best positive-marginal
 /// candidates, and add one of them uniformly at random. Makes exactly
 /// 1 + sum over rounds of (#feasible unselected candidates) oracle calls.
-/// Candidates are scored through the oracle's incremental context when it
-/// supports one (thread-local contexts per score chunk, so the parallel
-/// path stays bit-identical to the serial one). `log`/`restart` wire the
+/// Candidates are scored on the oracle's context (thread-local contexts
+/// per score chunk, so the parallel path stays bit-identical to the serial
+/// one). `log`/`restart` wire the
 /// decision log (audit records tagged with the restart index); null `log`
 /// records nothing.
 std::vector<SourceHandle> GraspConstruct(const ProfitFunction& oracle,

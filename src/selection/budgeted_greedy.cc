@@ -33,12 +33,11 @@ SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
                      phase1.selected.size());
 
   // Phase 2: the best affordable singleton can beat the ratio greedy when
-  // one expensive element dominates. Singleton gains are delta
-  // evaluations from the empty set when the context is available.
+  // one expensive element dominates. Singleton gains are scored on a
+  // context over the empty set.
   RoundAudit audit(options.decision_log, oracle);
   audit.BeginRound();
-  std::unique_ptr<MarginalEvalContext> ctx;
-  if (oracle.supports_incremental()) ctx = oracle.MakeContext();
+  const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
   double best_single_gain = -1.0;
   SourceHandle best_single = 0;
   std::uint64_t affordable_singletons = 0;
@@ -47,8 +46,7 @@ SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
     const SourceHandle handle = static_cast<SourceHandle>(e);
     if (singleton_costs[e] > budget + internal::kBudgetSlack) continue;
     ++affordable_singletons;
-    const double gain =
-        ctx != nullptr ? ctx->GainWith(handle) : oracle.Gain({handle});
+    const double gain = ctx->GainWith(handle);
     if (audit.active()) tracker.Observe(handle, gain);
     if (gain > best_single_gain) {
       best_single_gain = gain;

@@ -93,11 +93,10 @@ double CachedProfitOracle::budget() const {
   return gain_cost_->budget();
 }
 
-/// Decorating incremental context: structural operations delegate to the
-/// wrapped oracle's context; evaluations go through `Memoize` under the
-/// canonical sorted key of the evaluated set, so hits skip the wrapped
-/// context entirely (and, as everywhere in the decorator, only misses
-/// count as oracle calls).
+/// Decorating context: `Reset` delegates to the wrapped oracle's context;
+/// evaluations go through `Memoize` under the canonical sorted key of the
+/// evaluated set, so hits skip the wrapped context's evaluation (and, as
+/// everywhere in the decorator, only misses count as oracle calls).
 class CachedProfitOracle::CachedContext final : public MarginalEvalContext {
  public:
   CachedContext(const CachedProfitOracle* owner,
@@ -107,8 +106,6 @@ class CachedProfitOracle::CachedContext final : public MarginalEvalContext {
   void Reset(const std::vector<SourceHandle>& set) override {
     base_->Reset(set);
   }
-  void Push(SourceHandle handle) override { base_->Push(handle); }
-  void Pop() override { base_->Pop(); }
   const std::vector<SourceHandle>& set() const override {
     return base_->set();
   }
@@ -150,9 +147,7 @@ class CachedProfitOracle::CachedContext final : public MarginalEvalContext {
 };
 
 std::unique_ptr<MarginalEvalContext> CachedProfitOracle::MakeContext() const {
-  std::unique_ptr<MarginalEvalContext> base = base_->MakeContext();
-  if (base == nullptr) return nullptr;
-  return std::make_unique<CachedContext>(this, std::move(base));
+  return std::make_unique<CachedContext>(this, base_->MakeContext());
 }
 
 CachedProfitOracle::Stats CachedProfitOracle::stats() const {

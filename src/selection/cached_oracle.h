@@ -75,15 +75,10 @@ class CachedProfitOracle : public GainCostFunction {
   /// value, so the serve path keeps CELF for submodular profits.
   bool submodular() const override { return base_->submodular(); }
 
-  /// Forwards the wrapped oracle's incremental support.
-  bool supports_incremental() const override {
-    return base_->supports_incremental();
-  }
-
-  /// A caching incremental context: evaluations delegate to the wrapped
-  /// oracle's context and are memoized into the shared profit/gain caches
-  /// under the same canonical sorted-set keys the plain calls use, so
-  /// incremental and plain evaluations of the same set share one entry.
+  /// A caching context: evaluations delegate to the wrapped oracle's
+  /// context and are memoized into the shared profit/gain caches under the
+  /// same canonical sorted-set keys the plain calls use, so context and
+  /// plain evaluations of the same set share one entry.
   std::unique_ptr<MarginalEvalContext> MakeContext() const override;
 
   /// One consistent snapshot of the hit/miss tallies across all three

@@ -30,9 +30,8 @@ bool UseParallel(const ProfitFunction& oracle, ThreadPool* pool) {
 /// when allowed. Results land in index order, so downstream reductions are
 /// independent of the schedule.
 ///
-/// When the oracle supports incremental contexts, each chunk builds a
-/// thread-local context rooted at `selected` and scores its candidates
-/// through ProfitWith. Every candidate value is the rooted
+/// Each chunk builds a thread-local context rooted at `selected` and scores
+/// its candidates through ProfitWith. Every candidate value is the rooted
 /// product times one factor regardless of chunk boundaries, so serial and
 /// parallel runs stay bit-identical.
 std::vector<double> ScoreAdditions(
@@ -43,18 +42,10 @@ std::vector<double> ScoreAdditions(
     // Runs on pool workers; the span attributes to the construct /
     // local-search span via the pool's task-context propagation.
     FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
-    std::unique_ptr<MarginalEvalContext> ctx;
-    if (oracle.supports_incremental()) ctx = oracle.MakeContext();
-    if (ctx) {
-      ctx->Reset(selected);
-      for (std::size_t i = begin; i < end; ++i) {
-        profits[i] = ctx->ProfitWith(candidates[i]);
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        profits[i] =
-            oracle.Profit(internal::WithAdded(selected, candidates[i]));
-      }
+    const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
+    ctx->Reset(selected);
+    for (std::size_t i = begin; i < end; ++i) {
+      profits[i] = ctx->ProfitWith(candidates[i]);
     }
   };
   if (UseParallel(oracle, pool)) {
@@ -76,18 +67,13 @@ struct Move {
 
 Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
                 const std::vector<SourceHandle>& selected, double current,
-                SourceHandle handle, MarginalEvalContext* ctx) {
+                SourceHandle handle, MarginalEvalContext& ctx) {
   const std::size_t n = oracle.universe_size();
   Move best;
   if (!internal::Contains(selected, handle)) {
     if (!Feasible(matroid, selected, handle)) return best;
-    double profit;
-    if (ctx != nullptr) {
-      ctx->Reset(selected);
-      profit = ctx->ProfitWith(handle);
-    } else {
-      profit = oracle.Profit(internal::WithAdded(selected, handle));
-    }
+    ctx.Reset(selected);
+    const double profit = ctx.ProfitWith(handle);
     best.gain = profit - current;
     best.profit = profit;
     best.set = internal::WithAdded(selected, handle);
@@ -98,9 +84,8 @@ Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
   // delta evaluation instead of re-scoring the n-long swapped set.
   std::vector<SourceHandle> without =
       internal::WithRemoved(selected, handle);
-  if (ctx != nullptr) ctx->Reset(without);
-  const double removal_profit =
-      ctx != nullptr ? ctx->CurrentProfit() : oracle.Profit(without);
+  ctx.Reset(without);
+  const double removal_profit = ctx.CurrentProfit();
   best.gain = removal_profit - current;
   best.profit = removal_profit;
   best.set = without;
@@ -109,12 +94,7 @@ Move BestMoveAt(const ProfitFunction& oracle, const PartitionMatroid* matroid,
     const SourceHandle other = static_cast<SourceHandle>(d);
     if (internal::Contains(selected, other)) continue;
     if (!Feasible(matroid, without, other)) continue;
-    double profit;
-    if (ctx != nullptr) {
-      profit = ctx->ProfitWith(other);
-    } else {
-      profit = oracle.Profit(internal::WithAdded(without, other));
-    }
+    const double profit = ctx.ProfitWith(other);
     if (profit - current > best.gain) {
       best.gain = profit - current;
       best.profit = profit;
@@ -258,16 +238,15 @@ double GraspLocalSearch(const ProfitFunction& oracle,
     audit.BeginRound();
     // Best move rooted at each element, then a serial reduction in handle
     // order (strict >, first-wins), so parallel and serial runs pick the
-    // same move. Each chunk gets its own incremental context (contexts
-    // are single-threaded); BestMoveAt re-roots it per element, so move
+    // same move. Each chunk gets its own context (contexts are
+    // single-threaded); BestMoveAt re-roots it per element, so move
     // values do not depend on chunk boundaries.
     auto score = [&](std::size_t begin, std::size_t end) {
       FRESHSEL_TRACE_SPAN("selection/oracle/score_chunk");
-      std::unique_ptr<MarginalEvalContext> ctx;
-      if (oracle.supports_incremental()) ctx = oracle.MakeContext();
+      const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
       for (std::size_t e = begin; e < end; ++e) {
         moves[e] = BestMoveAt(oracle, matroid, selected, current,
-                              static_cast<SourceHandle>(e), ctx.get());
+                              static_cast<SourceHandle>(e), *ctx);
       }
     };
     if (parallel) {

@@ -74,7 +74,8 @@ class RoundEngine {
                       : (oracle.submodular() ? kCelf : kFullScan)),
         skip_stale_(options.stochastic && oracle.submodular()),
         audit_(options.decision_log, oracle),
-        rng_(options.stochastic_seed) {}
+        rng_(options.stochastic_seed),
+        ctx_(oracle.MakeContext()) {}
 
   Rounds Run() {
     const int cost_benefit = gain_cost_ != nullptr ? 1 : 0;
@@ -84,14 +85,8 @@ class RoundEngine {
           kLabels[cost_benefit][strategy_]);
     }
     const std::size_t n = oracle_.universe_size();
-    if (oracle_.supports_incremental()) ctx_ = oracle_.MakeContext();
-    if (ctx_ != nullptr) {
-      current_ = gain_cost_ != nullptr ? ctx_->CurrentGain()
-                                       : ctx_->CurrentProfit();
-    } else {
-      current_ = gain_cost_ != nullptr ? gain_cost_->Gain(out_.selected)
-                                       : oracle_.Profit(out_.selected);
-    }
+    current_ =
+        gain_cost_ != nullptr ? ctx_->CurrentGain() : ctx_->CurrentProfit();
     if (strategy_ == kSample) {
       const std::size_t k = options_.stochastic_k > 0
                                 ? options_.stochastic_k
@@ -134,7 +129,7 @@ class RoundEngine {
         audit_.Commit(record);
       }
       out_.selected = WithAdded(out_.selected, best.handle);
-      if (ctx_ != nullptr) ctx_->Reset(out_.selected);
+      ctx_->Reset(out_.selected);
       current_ = best.value;
       if (costs_ != nullptr) spent_ += (*costs_)[best.handle];
     }
@@ -169,14 +164,8 @@ class RoundEngine {
   Candidate Score(SourceHandle handle) {
     Candidate c;
     c.handle = handle;
-    if (ctx_ != nullptr) {
-      c.value = gain_cost_ != nullptr ? ctx_->GainWith(handle)
-                                      : ctx_->ProfitWith(handle);
-    } else {
-      const std::vector<SourceHandle> set = WithAdded(out_.selected, handle);
-      c.value = gain_cost_ != nullptr ? gain_cost_->Gain(set)
-                                      : oracle_.Profit(set);
-    }
+    c.value = gain_cost_ != nullptr ? ctx_->GainWith(handle)
+                                    : ctx_->ProfitWith(handle);
     c.marginal = c.value - current_;
     c.score = costs_ != nullptr ? Ratio(c.marginal, (*costs_)[handle])
                                 : c.marginal;
@@ -304,8 +293,8 @@ class RoundEngine {
   const bool skip_stale_;
   RoundAudit audit_;
   Rng rng_;
+  const std::unique_ptr<MarginalEvalContext> ctx_;
 
-  std::unique_ptr<MarginalEvalContext> ctx_;
   Rounds out_;
   double current_ = 0.0;
   double spent_ = 0.0;

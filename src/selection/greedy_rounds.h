@@ -38,7 +38,7 @@ struct Rounds {
 /// The engine picks CELF over the full scan, and skips sampled candidates
 /// whose stale score cannot win, only when `oracle.submodular()`: only
 /// then is a stale score an upper bound on the current one. Candidates are
-/// scored through `MakeContext()` whenever the oracle supports it.
+/// scored on the oracle's `MakeContext()`.
 ///
 /// ProfitRounds maximizes the profit over matroid-feasible candidates.
 /// It keeps candidates whose marginal is at most kImprovementEps in the

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "selection/algorithms.h"
 #include "selection/audit.h"
@@ -67,9 +68,10 @@ SelectionResult MatroidLocalSearch(
     const std::vector<const PartitionMatroid*>& matroids,
     const std::vector<SourceHandle>& ground, double epsilon) {
   const std::uint64_t calls_before = oracle.call_count();
+  const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
   SelectionResult result;
   if (ground.empty()) {
-    result.profit = oracle.Profit({});
+    result.profit = internal::ScoreSet(*ctx, {});
     result.oracle_calls = oracle.call_count() - calls_before;
     return result;
   }
@@ -88,7 +90,7 @@ SelectionResult MatroidLocalSearch(
       }
     }
     if (!feasible) continue;
-    const double profit = oracle.Profit({e});
+    const double profit = internal::ScoreSet(*ctx, {e});
     if (profit > current) {
       current = profit;
       selected = {e};
@@ -96,7 +98,7 @@ SelectionResult MatroidLocalSearch(
   }
   if (!std::isfinite(current)) {
     selected.clear();
-    current = oracle.Profit(selected);
+    current = internal::ScoreSet(*ctx, selected);
   }
 
   // Lines 4-10: delete / exchange until a local optimum.
@@ -106,7 +108,7 @@ SelectionResult MatroidLocalSearch(
     // Delete operation.
     for (SourceHandle e : selected) {
       const double profit =
-          oracle.Profit(internal::WithRemoved(selected, e));
+          internal::ScoreSet(*ctx, internal::WithRemoved(selected, e));
       if (internal::ImprovesBy(profit, current, slack)) {
         selected = internal::WithRemoved(selected, e);
         current = profit;
@@ -121,7 +123,7 @@ SelectionResult MatroidLocalSearch(
       const bool applied = TryExchanges(
           matroids, selected, d,
           [&](const std::vector<SourceHandle>& candidate) {
-            const double profit = oracle.Profit(candidate);
+            const double profit = internal::ScoreSet(*ctx, candidate);
             if (internal::ImprovesBy(profit, current, slack)) {
               selected = candidate;
               current = profit;

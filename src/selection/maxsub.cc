@@ -1,7 +1,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
+#include "common/check.h"
 #include "obs/macros.h"
 #include "selection/algorithms.h"
 #include "selection/audit.h"
@@ -13,13 +15,14 @@ SelectionResult MaxSub(const ProfitFunction& oracle, double epsilon) {
   FRESHSEL_TRACE_SPAN("selection/maxsub");
   const std::size_t n = oracle.universe_size();
   const std::uint64_t calls_before = oracle.call_count();
+  const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
 
   // Line 3: start from the best singleton.
   std::vector<SourceHandle> start;
   double best = -std::numeric_limits<double>::infinity();
   for (std::size_t e = 0; e < n; ++e) {
     const SourceHandle handle = static_cast<SourceHandle>(e);
-    const double profit = oracle.Profit({handle});
+    const double profit = internal::ScoreSet(*ctx, {handle});
     if (profit > best) {
       best = profit;
       start = {handle};
@@ -38,16 +41,24 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
                            std::vector<SourceHandle> initial,
                            double epsilon) {
   const std::size_t n = oracle.universe_size();
+  for (std::size_t i = 0; i < initial.size(); ++i) {
+    FRESHSEL_CHECK(initial[i] < n)
+        << "MaxSubFrom: handle " << initial[i]
+        << " is outside the universe of " << n;
+    FRESHSEL_CHECK(i == 0 || initial[i - 1] < initial[i])
+        << "MaxSubFrom: the initial set must be sorted and distinct";
+  }
   const std::uint64_t calls_before = oracle.call_count();
+  const std::unique_ptr<MarginalEvalContext> ctx = oracle.MakeContext();
   SelectionResult result;
   if (n == 0) {
-    result.profit = oracle.Profit({});
+    result.profit = internal::ScoreSet(*ctx, {});
     result.oracle_calls = oracle.call_count() - calls_before;
     result.cache_hit_rate = CacheHitRateOf(oracle);
     return result;
   }
   std::vector<SourceHandle> selected = std::move(initial);
-  double current = oracle.Profit(selected);
+  double current = internal::ScoreSet(*ctx, selected);
 
   // Lines 4-10: additions / deletions while they beat the (1 + eps/n^2)
   // threshold.
@@ -65,7 +76,7 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
       const SourceHandle handle = static_cast<SourceHandle>(e);
       if (internal::Contains(selected, handle)) continue;
       const double profit =
-          oracle.Profit(internal::WithAdded(selected, handle));
+          internal::ScoreSet(*ctx, internal::WithAdded(selected, handle));
       if (internal::ImprovesBy(profit, current, slack) &&
           profit > best_profit) {
         best_profit = profit;
@@ -83,7 +94,7 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
     bool del_found = false;
     for (SourceHandle handle : selected) {
       const double profit =
-          oracle.Profit(internal::WithRemoved(selected, handle));
+          internal::ScoreSet(*ctx, internal::WithRemoved(selected, handle));
       if (internal::ImprovesBy(profit, current, slack) &&
           profit > best_profit) {
         best_profit = profit;
@@ -101,7 +112,7 @@ SelectionResult MaxSubFrom(const ProfitFunction& oracle,
   // Line 11: the better of the local optimum and its complement.
   const std::vector<SourceHandle> complement =
       internal::Complement(selected, n);
-  const double complement_profit = oracle.Profit(complement);
+  const double complement_profit = internal::ScoreSet(*ctx, complement);
   if (complement_profit > current) {
     selected = complement;
     current = complement_profit;

@@ -17,24 +17,26 @@ using SourceHandle = estimation::QualityEstimator::SourceHandle;
 
 class GainCostFunction;
 
-/// Incremental marginal-evaluation protocol over a profit oracle: the
-/// context carries the evaluation state of a *current* set S so that
-/// scoring S + {x} costs O(1) oracle-internal work per candidate instead
-/// of re-evaluating the whole set (for the estimator-backed oracle:
-/// O(steps * |T_f| + domain words) instead of O(|S| * (steps * |T_f| +
-/// domain words))). The greedy family re-roots the context with `Reset`
-/// after each accepted move, turning a selection run from O(k^2 n) into
-/// O(k n) estimator work; the estimator-backed `Reset` keeps the prefix
-/// the context already holds and pushes only the sources after it.
+/// The one scoring path of the selection algorithms: a context holds a
+/// *current* set S and scores S, or S plus one candidate, counting one
+/// oracle call per evaluation exactly like `Profit`/`Gain` (infeasible
+/// `ProfitWith`/`CurrentProfit` return -infinity without counting). Every
+/// oracle hands one out (`ProfitFunction::MakeContext`):
 ///
-/// Calling conventions mirror the plain oracle: `CurrentProfit`/`GainWith`
-/// etc. count one oracle call each (infeasible `ProfitWith`/`CurrentProfit`
-/// return -infinity without counting, exactly like `Profit`), so call
-/// accounting is identical between the incremental and plain paths.
-/// Evaluated values agree with the plain oracle to ulp precision - the
-/// factor products are associated in context order rather than set order -
-/// and are bit-identical whenever the context was `Reset` to the canonical
-/// sorted set and the candidate sorts last.
+///  - the base default keeps the sorted set and answers with `Profit`/
+///    `Gain` on it or on `WithAdded(set, x)`, so a synthetic oracle needs
+///    nothing more;
+///  - the estimator-backed `ProfitOracle` carries the estimator's running
+///    state, so `ProfitWith`/`GainWith` cost O(steps * |T_f| + domain
+///    words) instead of O(|S|) times that, and `Reset` keeps the prefix
+///    it already holds and pushes only the sources after it.
+///
+/// The greedy family re-roots the context with `Reset` after each accepted
+/// move and scores candidates with `ProfitWith`/`GainWith`; those agree
+/// with the plain oracle to ulp precision (the candidate's factors are
+/// multiplied last, not at its sorted position). The local searches score
+/// a full-set move as `Reset(sorted set)` plus `CurrentProfit()`, which is
+/// bit-identical to `Profit(set)`.
 ///
 /// Contexts are single-threaded; parallel evaluation paths create one per
 /// worker chunk (`MakeContext` itself is safe to call concurrently on a
@@ -43,14 +45,10 @@ class MarginalEvalContext {
  public:
   virtual ~MarginalEvalContext() = default;
 
-  /// Rebuilds the context over `set`, which must be canonically sorted
-  /// (the representation the selection layer maintains, see set_util.h).
-  /// The resulting state is the same as building it from empty.
+  /// Makes the current set `set`, which must be canonically sorted (the
+  /// representation the selection layer maintains, see set_util.h). The
+  /// resulting state is the same as building it from empty.
   virtual void Reset(const std::vector<SourceHandle>& set) = 0;
-  /// Extends the current set by `handle`.
-  virtual void Push(SourceHandle handle) = 0;
-  /// Undoes the most recent `Push` exactly. Pre: the set is non-empty.
-  virtual void Pop() = 0;
   /// The current set, canonically sorted.
   virtual const std::vector<SourceHandle>& set() const = 0;
 
@@ -59,8 +57,7 @@ class MarginalEvalContext {
   virtual double CurrentProfit() = 0;
   /// Gain component of S (counts one oracle call).
   virtual double CurrentGain() = 0;
-  /// Value of S + {handle} without mutating the context; cost independent
-  /// of |S|.
+  /// Value of S + {handle} without mutating the context.
   virtual double ProfitWith(SourceHandle handle) = 0;
   /// Gain of S + {handle} without mutating the context.
   virtual double GainWith(SourceHandle handle) = 0;
@@ -95,16 +92,11 @@ class ProfitFunction {
   /// conservative false and a wrong true changes selections.
   virtual bool submodular() const { return false; }
 
-  /// True when `MakeContext` returns a working incremental context. The
-  /// algorithms fall back to plain `Profit`/`Gain` calls otherwise, so
-  /// synthetic test oracles need not implement the protocol.
-  virtual bool supports_incremental() const { return false; }
-
-  /// A fresh incremental context over the empty set, or null when the
-  /// protocol is unsupported (see `supports_incremental`).
-  virtual std::unique_ptr<MarginalEvalContext> MakeContext() const {
-    return nullptr;
-  }
+  /// A fresh context over the empty set; never null. The default scores
+  /// with this oracle's own `Profit` and `Gain` (the latter needs a
+  /// `gain_cost()`), so call counts equal the plain calls'. Oracles with
+  /// cheaper incremental state override it.
+  virtual std::unique_ptr<MarginalEvalContext> MakeContext() const;
 
   /// This oracle's gain/cost decomposition, or null when it has none.
   /// Ask this rather than `dynamic_cast`: a decorator may be a
@@ -216,16 +208,11 @@ class ProfitOracle : public GainCostFunction {
   /// set function.
   bool submodular() const override;
 
-  /// True when the estimator supports delta evaluation (effectiveness
-  /// caching on, at least one eval time).
-  bool supports_incremental() const override;
-
-  /// An incremental context backed by the estimator's `EvalContext`:
-  /// `ProfitWith`/`GainWith` score S + {x} in O(steps * |T_f| + domain
-  /// words), independent of |S|; `Push`/`Pop` cost O(nonzero signature
-  /// words of the source + steps * |T_f|); `Reset(set)` pops back to the
-  /// longest common prefix of the pushed sources and `set` and pushes the
-  /// rest. Null when `supports_incremental()` is false.
+  /// A context backed by the estimator's `EvalContext`: `ProfitWith`/
+  /// `GainWith` score S + {x} in O(steps * |T_f| + domain words),
+  /// independent of |S|; `Reset(set)` pops back to the longest common
+  /// prefix of the pushed sources and `set` and pushes the rest, each push
+  /// costing O(nonzero signature words of the source + steps * |T_f|).
   std::unique_ptr<MarginalEvalContext> MakeContext() const override;
 
   /// Budget on normalized cost (from the config; +infinity by default).

@@ -64,6 +64,15 @@ inline std::vector<SourceHandle> WithRemovedAll(
   return out;
 }
 
+/// Profit of the sorted `set`, scored on `ctx`: the local searches' full-set
+/// move. `Reset` pushes in set order, so the value is bit-identical to
+/// `Profit(set)`.
+inline double ScoreSet(MarginalEvalContext& ctx,
+                       const std::vector<SourceHandle>& set) {
+  ctx.Reset(set);
+  return ctx.CurrentProfit();
+}
+
 inline std::vector<SourceHandle> FullUniverse(std::size_t n) {
   std::vector<SourceHandle> all(n);
   for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<SourceHandle>(i);

@@ -368,6 +368,13 @@ TEST(MaxSubFromTest, ImprovesAPoorStart) {
   EXPECT_DOUBLE_EQ(result.profit, 8.0);
 }
 
+TEST(MaxSubFromDeathTest, RejectsAStartThatIsNotASortedSubset) {
+  ModularFunction f({3.0, -2.0, 5.0, -1.0});
+  EXPECT_DEATH(MaxSubFrom(f, {3, 1}), "sorted and distinct");
+  EXPECT_DEATH(MaxSubFrom(f, {1, 1}), "sorted and distinct");
+  EXPECT_DEATH(MaxSubFrom(f, {1, 4}), "outside the universe of 4");
+}
+
 TEST(OracleCallCountingTest, CallsAreCounted) {
   ModularFunction f({1.0, 2.0, 3.0});
   EXPECT_EQ(f.call_count(), 0u);

@@ -466,7 +466,6 @@ TEST_F(EstimatorStochasticTest, IdenticalSelectionsAcrossScoringModes) {
   // the incremental context's delta evaluations track the plain oracle's
   // values to selection-identical precision on this instance.
   ProfitOracle oracle = MakeOracle();
-  ASSERT_TRUE(oracle.supports_incremental());
   ASSERT_TRUE(oracle.submodular());
   const std::vector<SourceHandle> reference =
       Greedy(oracle, nullptr, Stochastic(29, /*eps=*/0.2, /*k=*/3)).selected;

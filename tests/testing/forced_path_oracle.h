@@ -13,10 +13,12 @@ namespace freshsel::testing {
 
 /// Which reference path a `ForcedPathOracle` sends the selection engine
 /// down. The engine picks CELF over a full re-scan from
-/// `ProfitFunction::submodular()` and incremental over plain scoring from
-/// `supports_incremental()`; hiding either reaches the other path.
+/// `ProfitFunction::submodular()`, and scores on the oracle's
+/// `MakeContext()`; hiding the submodular claim reaches the re-scan, and
+/// handing out the base default context (which scores with full-set
+/// `Profit`/`Gain` calls) reaches plain scoring.
 enum class ForcedPath {
-  kEager,       ///< Full re-scans; incremental scoring kept.
+  kEager,       ///< Full re-scans; the wrapped oracle's context kept.
   kPlain,       ///< Plain full-set scoring; CELF kept when submodular.
   kEagerPlain,  ///< Both.
 };
@@ -55,16 +57,12 @@ class ForcedPathOracle final : public selection::GainCostFunction {
   bool submodular() const override {
     return path_ == ForcedPath::kPlain && inner_->submodular();
   }
-  bool supports_incremental() const override {
-    return path_ == ForcedPath::kEager && inner_->supports_incremental();
-  }
   std::unique_ptr<selection::MarginalEvalContext> MakeContext()
       const override {
-    if (!supports_incremental()) return nullptr;
-    std::unique_ptr<selection::MarginalEvalContext> ctx =
-        inner_->MakeContext();
-    if (ctx == nullptr) return nullptr;
-    return std::make_unique<Context>(this, std::move(ctx));
+    if (path_ != ForcedPath::kEager) {
+      return selection::ProfitFunction::MakeContext();
+    }
+    return std::make_unique<Context>(this, inner_->MakeContext());
   }
 
  private:
@@ -78,10 +76,6 @@ class ForcedPathOracle final : public selection::GainCostFunction {
     void Reset(const std::vector<selection::SourceHandle>& set) override {
       inner_->Reset(set);
     }
-    void Push(selection::SourceHandle handle) override {
-      inner_->Push(handle);
-    }
-    void Pop() override { inner_->Pop(); }
     const std::vector<selection::SourceHandle>& set() const override {
       return inner_->set();
     }
