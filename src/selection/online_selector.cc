@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include "selection/set_util.h"
 
@@ -57,18 +58,19 @@ Result<SourceHandle> OnlineSelector::AddSource(
 
 void OnlineSelector::IncrementalUpdate(SourceHandle newcomer) {
   const std::uint64_t calls_before = oracle_->call_count();
-  double current = oracle_->Profit(selection_);
+  const std::unique_ptr<MarginalEvalContext> ctx = oracle_->MakeContext();
+  double current = internal::ScoreSet(*ctx, selection_);
 
   // Candidate 1: add the newcomer.
   std::vector<SourceHandle> best_set =
       internal::WithAdded(selection_, newcomer);
-  double best = oracle_->Profit(best_set);
+  double best = internal::ScoreSet(*ctx, best_set);
 
   // Candidates 2..k: swap the newcomer for one incumbent.
   for (SourceHandle incumbent : selection_) {
     std::vector<SourceHandle> swapped = internal::WithAdded(
         internal::WithRemoved(selection_, incumbent), newcomer);
-    const double profit = oracle_->Profit(swapped);
+    const double profit = internal::ScoreSet(*ctx, swapped);
     if (profit > best) {
       best = profit;
       best_set = std::move(swapped);
