@@ -82,6 +82,7 @@ void LifespanPanel(const workloads::Scenario& bl) {
   }
   std::vector<stats::CensoredObservation> observations;
   std::vector<double> exact;
+  stats::KaplanMeierEstimator km;
   for (world::EntityId id : bl.world.EntitiesInSubdomain(busiest)) {
     const world::EntityRecord& e = bl.world.entity(id);
     if (e.birth > bl.t0) continue;
@@ -89,9 +90,11 @@ void LifespanPanel(const workloads::Scenario& bl) {
       observations.push_back(
           {static_cast<double>(e.death - e.birth), true});
       exact.push_back(static_cast<double>(e.death - e.birth));
+      km.Add(e.death - e.birth, true);
     } else {
       observations.push_back(
           {static_cast<double>(bl.t0 - e.birth), false});
+      km.Add(bl.t0 - e.birth, false);
     }
   }
   const double rate =
@@ -117,8 +120,6 @@ void LifespanPanel(const workloads::Scenario& bl) {
   // Goodness of fit under censoring: compare the Kaplan-Meier estimate of
   // the lifespan CDF (which handles the right-censored mass correctly)
   // against the fitted exponential inside the observation window.
-  stats::KaplanMeierEstimator km;
-  for (const auto& obs : observations) km.Add(obs);
   stats::StepFunction km_cdf = km.Fit().value();
   double max_gap = 0.0;
   for (double x = 10.0; x <= 0.8 * static_cast<double>(bl.t0); x += 10.0) {

@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
       if (entity.birth <= 0 || entity.birth > bl->t0) continue;
       const source::CaptureRecord* rec = source.Find(id);
       if (rec != nullptr && rec->inserted <= bl->t0) {
-        km.Add(static_cast<double>(rec->inserted - entity.birth), true);
+        km.Add(rec->inserted - entity.birth, true);
       } else {
-        km.Add(static_cast<double>(bl->t0 - entity.birth), false);
+        km.Add(bl->t0 - entity.birth, false);
       }
     }
   }

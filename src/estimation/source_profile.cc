@@ -136,10 +136,9 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
       // Insertion delays: appearances within (0, t0].
       if (entity.birth > 0 && entity.birth <= t0) {
         if (rec != nullptr && rec->inserted <= t0) {
-          km_insert.Add(static_cast<double>(rec->inserted - entity.birth),
-                        true);
+          km_insert.Add(rec->inserted - entity.birth, true);
         } else {
-          km_insert.Add(static_cast<double>(t0 - entity.birth), false);
+          km_insert.Add(t0 - entity.birth, false);
         }
       }
 
@@ -150,10 +149,9 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
       if (entity.death != world::kNever && entity.death > 0 &&
           entity.death <= t0) {
         if (rec->deleted != world::kNever && rec->deleted <= t0) {
-          km_delete.Add(static_cast<double>(rec->deleted - entity.death),
-                        true);
+          km_delete.Add(rec->deleted - entity.death, true);
         } else {
-          km_delete.Add(static_cast<double>(t0 - entity.death), false);
+          km_delete.Add(t0 - entity.death, false);
         }
       }
 
@@ -165,9 +163,9 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
         if (u <= 0 || u > t0) continue;
         const TimePoint day = VersionCaptureDay(*rec, version);
         if (day != world::kNever && day <= t0) {
-          km_update.Add(static_cast<double>(day - u), true);
+          km_update.Add(day - u, true);
         } else {
-          km_update.Add(static_cast<double>(t0 - u), false);
+          km_update.Add(t0 - u, false);
         }
       }
     }

@@ -2,111 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 
 namespace freshsel::stats {
 
-void KaplanMeierEstimator::Add(double duration, bool observed) {
-  FRESHSEL_CHECK_FINITE(duration);
-  if (duration < 0.0) duration = 0.0;
-  observations_.push_back({duration, observed});
-  if (observed) ++observed_events_;
-}
-
-Result<std::vector<KaplanMeierEstimator::KnotWithError>>
-KaplanMeierEstimator::FitWithStdError() const {
-  if (observations_.empty()) {
-    return Status::FailedPrecondition("Kaplan-Meier fit needs observations");
-  }
-  if (observed_events_ == 0) {
-    // Fully right-censored sample: there is no event-time knot to attach a
-    // Greenwood error to, so report that instead of an empty band.
-    return Status::FailedPrecondition(
-        "Kaplan-Meier standard errors need at least one observed event");
-  }
-  std::vector<CensoredObservation> sorted = observations_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const CensoredObservation& a, const CensoredObservation& b) {
-              if (a.duration != b.duration) return a.duration < b.duration;
-              return a.observed && !b.observed;
-            });
+std::vector<KaplanMeierEstimator::KnotWithError>
+KaplanMeierEstimator::ProductLimit() const {
   std::vector<KnotWithError> knots;
   double survival = 1.0;
   double greenwood = 0.0;  // Running sum d_i / (n_i (n_i - d_i)).
-  std::size_t at_risk = sorted.size();
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    const double t = sorted[i].duration;
-    std::size_t events = 0;
-    std::size_t censored = 0;
-    while (i < sorted.size() && sorted[i].duration == t) {
-      if (sorted[i].observed) {
-        ++events;
-      } else {
-        ++censored;
-      }
-      ++i;
-    }
+  std::size_t at_risk = sample_size();
+  const std::int64_t last_day =
+      std::max(events_.max_value(), censorings_.max_value());
+  // Ascending days; at each day the events leave before the censorings (a
+  // subject censored on an event day is still at risk at that event).
+  for (std::int64_t day = 0; day <= last_day; ++day) {
+    const std::size_t events = events_.CountOf(day);
     if (events > 0) {
       const double n = static_cast<double>(at_risk);
       const double d = static_cast<double>(events);
       survival *= 1.0 - d / n;
       if (n > d) greenwood += d / (n * (n - d));
+      // The KM estimate must stay a monotone step function in [0, 1]
+      // (Section 4.1.2): each factor is in [0, 1), so survival only falls.
       FRESHSEL_DCHECK_PROB(survival);
       const double variance =
           survival * survival * greenwood;  // Greenwood's formula.
-      knots.push_back({t, 1.0 - survival, std::sqrt(variance)});
+      knots.push_back(
+          {static_cast<double>(day), 1.0 - survival, std::sqrt(variance)});
     }
-    at_risk -= events + censored;
+    at_risk -= events + censorings_.CountOf(day);
   }
   return knots;
 }
 
-Result<StepFunction> KaplanMeierEstimator::Fit() const {
-  if (observations_.empty()) {
+Result<std::vector<KaplanMeierEstimator::KnotWithError>>
+KaplanMeierEstimator::FitWithStdError() const {
+  if (sample_size() == 0) {
     return Status::FailedPrecondition("Kaplan-Meier fit needs observations");
   }
-  if (observed_events_ == 0) {
+  if (observed_events() == 0) {
+    // Fully right-censored sample: there is no event-time knot to attach a
+    // Greenwood error to, so report that instead of an empty band.
+    return Status::FailedPrecondition(
+        "Kaplan-Meier standard errors need at least one observed event");
+  }
+  return ProductLimit();
+}
+
+Result<StepFunction> KaplanMeierEstimator::Fit() const {
+  if (sample_size() == 0) {
+    return Status::FailedPrecondition("Kaplan-Meier fit needs observations");
+  }
+  if (observed_events() == 0) {
     return StepFunction::Constant(0.0);
   }
-
-  // Sort by duration; at equal durations process events before censorings
-  // (the censored subject is considered at risk at that time).
-  std::vector<CensoredObservation> sorted = observations_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const CensoredObservation& a, const CensoredObservation& b) {
-              if (a.duration != b.duration) return a.duration < b.duration;
-              return a.observed && !b.observed;
-            });
-
   std::vector<std::pair<double, double>> knots;
-  double survival = 1.0;
-  std::size_t at_risk = sorted.size();
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    const double t = sorted[i].duration;
-    std::size_t events = 0;
-    std::size_t censored = 0;
-    while (i < sorted.size() && sorted[i].duration == t) {
-      if (sorted[i].observed) {
-        ++events;
-      } else {
-        ++censored;
-      }
-      ++i;
-    }
-    if (events > 0) {
-      survival *= 1.0 - static_cast<double>(events) /
-                            static_cast<double>(at_risk);
-      // The KM estimate must stay a monotone step function in [0, 1]
-      // (Section 4.1.2): each factor is in [0, 1), so survival only falls.
-      FRESHSEL_DCHECK_PROB(survival);
-      FRESHSEL_DCHECK(knots.empty() || 1.0 - survival >= knots.back().second)
-          << "Kaplan-Meier CDF must be non-decreasing";
-      knots.emplace_back(t, 1.0 - survival);
-    }
-    at_risk -= events + censored;
+  for (const KnotWithError& knot : ProductLimit()) {
+    knots.emplace_back(knot.time, knot.cdf);
   }
   return StepFunction::FromKnots(std::move(knots), /*initial=*/0.0);
 }

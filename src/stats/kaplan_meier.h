@@ -1,17 +1,19 @@
 #ifndef FRESHSEL_STATS_KAPLAN_MEIER_H_
 #define FRESHSEL_STATS_KAPLAN_MEIER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/result.h"
-#include "stats/exponential.h"
+#include "common/time_types.h"
+#include "stats/histogram.h"
 #include "stats/step_function.h"
 
 namespace freshsel::stats {
 
 /// Kaplan-Meier product-limit estimator over exact and right-censored
-/// duration observations (Kaplan & Meier 1958), used by the paper to learn
-/// the source-effectiveness distributions G_i, G_d, G_u from the exact and
+/// whole-day delays (Kaplan & Meier 1958), used by the paper to learn the
+/// source-effectiveness distributions G_i, G_d, G_u from the exact and
 /// right-censored delay histograms of Section 4.1.2 / Figure 7.
 ///
 /// The estimated CDF F(t) = 1 - S(t) where
@@ -19,15 +21,23 @@ namespace freshsel::stats {
 /// d_i = #events at distinct event time t_i and n_i = #subjects still at
 /// risk just before t_i. Censoring ties at an event time are conventionally
 /// treated as still at risk at that time (censored after the event).
+///
+/// Observations are kept as two day histograms (events and censorings), so
+/// a fit is one ascending walk over days 0..D, D the longest delay:
+/// O(n + D) for n observations, with no copy and no sort.
 class KaplanMeierEstimator {
  public:
-  /// Adds one duration; `observed` == false marks a right-censored
-  /// observation (the event had not happened by the end of the window).
-  void Add(double duration, bool observed);
-  void Add(const CensoredObservation& obs) { Add(obs.duration, obs.observed); }
+  /// Adds one delay of `days` whole days (negative values clamp to 0);
+  /// `observed` == false marks a right-censored observation (the event had
+  /// not happened by the end of the window).
+  void Add(TimePoint days, bool observed) {
+    (observed ? events_ : censorings_).Add(days);
+  }
 
-  std::size_t sample_size() const { return observations_.size(); }
-  std::size_t observed_events() const { return observed_events_; }
+  std::size_t sample_size() const {
+    return events_.total() + censorings_.total();
+  }
+  std::size_t observed_events() const { return events_.total(); }
 
   /// Fits the product-limit CDF. Returns FailedPrecondition when there is no
   /// observation at all; with zero *observed* events it returns the constant
@@ -50,8 +60,12 @@ class KaplanMeierEstimator {
   Result<std::vector<KnotWithError>> FitWithStdError() const;
 
  private:
-  std::vector<CensoredObservation> observations_;
-  std::size_t observed_events_ = 0;
+  /// The product-limit walk shared by both fits: one knot per day with at
+  /// least one event.
+  std::vector<KnotWithError> ProductLimit() const;
+
+  CountHistogram events_;      // Exact delays, by day.
+  CountHistogram censorings_;  // Right-censored delays, by day.
 };
 
 }  // namespace freshsel::stats

@@ -55,24 +55,6 @@ struct EntityRecord {
   }
 };
 
-/// Kinds of change events in the world (and, mirrored, in sources).
-enum class ChangeType : std::uint8_t {
-  kAppear = 0,
-  kUpdate = 1,
-  kDisappear = 2,
-};
-
-/// One world change event; the world change log is the time-ordered stream
-/// of these (the paper's "evolution of the world").
-struct ChangeEvent {
-  TimePoint time = 0;
-  ChangeType type = ChangeType::kAppear;
-  EntityId entity = 0;
-  SubdomainId subdomain = 0;
-  /// For kUpdate: the version this update produced (1-based). 0 otherwise.
-  std::uint32_t version = 0;
-};
-
 }  // namespace freshsel::world
 
 #endif  // FRESHSEL_WORLD_ENTITY_H_

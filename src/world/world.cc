@@ -51,7 +51,6 @@ Status World::Finalize() {
   for (auto& per_day : counts_) per_day.assign(days + 1, 0);
   total_counts_.assign(days + 1, 0);
 
-  change_log_.clear();
   for (const EntityRecord& e : entities_) {
     // Difference array for interval [birth, min(death, horizon+1)).
     const TimePoint lo = std::max<TimePoint>(e.birth, 0);
@@ -60,22 +59,6 @@ Status World::Finalize() {
     if (lo < hi && lo <= horizon_) {
       counts_[e.subdomain][static_cast<std::size_t>(lo)] += 1;
       counts_[e.subdomain][static_cast<std::size_t>(hi)] -= 1;
-    }
-    if (e.birth >= 0 && e.birth <= horizon_) {
-      change_log_.push_back(
-          {e.birth, ChangeType::kAppear, e.id, e.subdomain, 0});
-    }
-    std::uint32_t version = 0;
-    for (TimePoint u : e.update_times) {
-      ++version;
-      if (u <= horizon_) {
-        change_log_.push_back(
-            {u, ChangeType::kUpdate, e.id, e.subdomain, version});
-      }
-    }
-    if (e.death != kNever && e.death <= horizon_) {
-      change_log_.push_back(
-          {e.death, ChangeType::kDisappear, e.id, e.subdomain, 0});
     }
   }
   // Prefix-sum the difference arrays into per-day populations.
@@ -87,12 +70,6 @@ Status World::Finalize() {
       if (d < days) total_counts_[d] += running;
     }
   }
-  std::stable_sort(change_log_.begin(), change_log_.end(),
-                   [](const ChangeEvent& a, const ChangeEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     if (a.type != b.type) return a.type < b.type;
-                     return a.entity < b.entity;
-                   });
   finalized_ = true;
   return Status::OK();
 }

@@ -12,8 +12,7 @@
 namespace freshsel::world {
 
 /// The evolving data domain Omega: every entity's ground-truth lifespan and
-/// update history, with fast per-day population counts and a time-ordered
-/// change log.
+/// update history, with fast per-day population counts.
 ///
 /// Two producers fill a `World`:
 ///  * `SimulateWorld` (world_simulator.h) — synthetic ground truth;
@@ -42,7 +41,7 @@ class World {
   /// times are inconsistent. Must be called before Finalize().
   Status AddEntity(EntityRecord record);
 
-  /// Builds count prefix arrays and the change log. Idempotent.
+  /// Builds the per-day population prefix arrays. Idempotent.
   Status Finalize();
   bool finalized() const { return finalized_; }
 
@@ -68,10 +67,6 @@ class World {
   /// |Omega|_t over the whole domain.
   std::int64_t TotalCountAt(TimePoint t) const;
 
-  /// Time-ordered world change log (appearances, updates, disappearances
-  /// with time <= horizon). Pre: Finalize()d.
-  const std::vector<ChangeEvent>& change_log() const { return change_log_; }
-
  private:
   TimePoint ClampDay(TimePoint t) const;
 
@@ -83,7 +78,6 @@ class World {
   // counts_[sub][d] = #entities of `sub` existing on day d, d in [0,horizon].
   std::vector<std::vector<std::int32_t>> counts_;
   std::vector<std::int64_t> total_counts_;
-  std::vector<ChangeEvent> change_log_;
 };
 
 }  // namespace freshsel::world

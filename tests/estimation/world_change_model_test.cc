@@ -3,7 +3,11 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <ostream>
+#include <string>
 
 #include "testing/test_world.h"
 #include "world/world_simulator.h"
@@ -63,6 +67,11 @@ struct RateParams {
   double gamma_u;
 };
 
+// Prints GetParam() as "lambda,gamma_d,gamma_u" instead of raw bytes.
+void PrintTo(const RateParams& p, std::ostream* os) {
+  *os << p.lambda_insert << ',' << p.gamma_d << ',' << p.gamma_u;
+}
+
 class RateRecoveryTest : public ::testing::TestWithParam<RateParams> {};
 
 TEST_P(RateRecoveryTest, RecoversSimulatedRates) {
@@ -95,7 +104,20 @@ INSTANTIATE_TEST_SUITE_P(
                       RateParams{5.0, 0.002, 0.005},
                       RateParams{0.5, 0.02, 0.0},
                       RateParams{1.0, 0.0, 0.01},
-                      RateParams{10.0, 0.005, 0.05}));
+                      RateParams{10.0, 0.005, 0.05}),
+    [](const ::testing::TestParamInfo<RateParams>& info) {
+      // gtest names allow only [A-Za-z0-9_]: print each rate with %g and
+      // spell its decimal point as 'p' (0.005 -> 0p005).
+      auto rate = [](double value) {
+        char buffer[32];
+        std::snprintf(buffer, sizeof(buffer), "%g", value);
+        std::string text = buffer;
+        std::replace(text.begin(), text.end(), '.', 'p');
+        return text;
+      };
+      return "lambda" + rate(info.param.lambda_insert) + "_gd" +
+             rate(info.param.gamma_d) + "_gu" + rate(info.param.gamma_u);
+    });
 
 TEST(WorldChangeModelTest, AggregatePoolsSubdomains) {
   world::World w = testing::MakeTestWorld();

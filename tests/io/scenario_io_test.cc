@@ -61,8 +61,20 @@ TEST(ScenarioIoTest, SimulatedWorldRoundTrip) {
   ASSERT_TRUE(WriteWorldCsv(original, path).ok());
   Result<world::World> loaded = ReadWorldCsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->entity_count(), original.entity_count());
-  EXPECT_EQ(loaded->change_log().size(), original.change_log().size());
+  ASSERT_EQ(loaded->entity_count(), original.entity_count());
+  for (world::EntityId id = 0; id < original.entity_count(); ++id) {
+    const world::EntityRecord& a = original.entity(id);
+    const world::EntityRecord& b = loaded->entity(id);
+    EXPECT_EQ(a.id, b.id) << "entity " << id;
+    EXPECT_EQ(a.subdomain, b.subdomain) << "entity " << id;
+    EXPECT_EQ(a.birth, b.birth) << "entity " << id;
+    EXPECT_EQ(a.death, b.death) << "entity " << id;
+    EXPECT_EQ(a.update_times, b.update_times) << "entity " << id;
+  }
+  for (TimePoint t = 0; t <= original.horizon(); ++t) {
+    EXPECT_EQ(loaded->TotalCountAt(t), original.TotalCountAt(t))
+        << "t=" << t;
+  }
   std::remove(path.c_str());
 }
 

@@ -128,35 +128,6 @@ TEST(WorldTest, CountQueriesClampOutsideHorizon) {
   EXPECT_EQ(w.TotalCountAt(1000), w.TotalCountAt(100));
 }
 
-TEST(WorldTest, ChangeLogIsSortedAndComplete) {
-  World w = testing::MakeTestWorld();
-  const auto& log = w.change_log();
-  // 6 appearances + 7 updates + 3 deaths within horizon.
-  std::size_t appears = 0;
-  std::size_t updates = 0;
-  std::size_t disappears = 0;
-  TimePoint prev = -1;
-  for (const ChangeEvent& ev : log) {
-    EXPECT_GE(ev.time, prev);
-    prev = ev.time;
-    switch (ev.type) {
-      case ChangeType::kAppear:
-        ++appears;
-        break;
-      case ChangeType::kUpdate:
-        ++updates;
-        EXPECT_GE(ev.version, 1u);
-        break;
-      case ChangeType::kDisappear:
-        ++disappears;
-        break;
-    }
-  }
-  EXPECT_EQ(appears, 6u);
-  EXPECT_EQ(updates, 7u);
-  EXPECT_EQ(disappears, 3u);
-}
-
 TEST(WorldTest, EntitiesInSubdomain) {
   World w = testing::MakeTestWorld();
   EXPECT_EQ(w.EntitiesInSubdomain(0),
