@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_BENCH_BENCH_UTIL_H_
-#define FRESHSEL_BENCH_BENCH_UTIL_H_
+#pragma once
 
 #include <cstdio>
 #include <cstdlib>
@@ -121,5 +120,3 @@ inline void PrintHeader(const char* bench_name, const char* what) {
 }
 
 }  // namespace freshsel::bench
-
-#endif  // FRESHSEL_BENCH_BENCH_UTIL_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_CLI_ARGS_H_
-#define FRESHSEL_CLI_ARGS_H_
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -55,5 +54,3 @@ class ArgMap {
 };
 
 }  // namespace freshsel::cli
-
-#endif  // FRESHSEL_CLI_ARGS_H_

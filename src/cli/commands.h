@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_CLI_COMMANDS_H_
-#define FRESHSEL_CLI_COMMANDS_H_
+#pragma once
 
 #include <ostream>
 
@@ -72,5 +71,3 @@ int RunMain(int argc, const char* const* argv, std::ostream& out,
             std::ostream& err);
 
 }  // namespace freshsel::cli
-
-#endif  // FRESHSEL_CLI_COMMANDS_H_

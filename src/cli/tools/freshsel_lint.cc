@@ -3,25 +3,19 @@
 // catalog and the inline suppression syntax).
 //
 // Usage:
-//   freshsel_lint [FLAGS] PATH...
+//   freshsel_lint [--no-assert-rule] PATH...
+//   freshsel_lint --list-rules
 //
 // Each PATH is a file or a directory scanned recursively for .h/.cc/.cpp.
+// Findings go to stderr as "file:line: [rule] message", the summary line
+// to stdout.
 //
 // Flags:
-//   --format text|json|sarif   Output format (default: text). SARIF 2.1.0
-//                              is what CI uploads to code scanning.
-//   --output FILE              Write the report to FILE instead of stdout.
-//   --list-rules               Print the rule catalog and exit.
-//   --disable RULE             Skip a rule (repeatable).
-//   --fix                      Apply mechanical fixes for fixable rules
-//                              (iwyu-spot, failpoint-name), then re-lint.
-//   --fix-dry-run              Print the fixes as a diff without applying.
-//   --no-assert-rule           Allow bare assert() (test trees).
-//   --guard-prefix PREFIX      Include-guard prefix (default FRESHSEL_).
+//   --no-assert-rule   Allow bare assert() (test trees).
+//   --list-rules       Print the rule catalog and exit.
 //
 // Exits 0 when clean, 1 when any finding is reported, 2 on usage errors.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -32,16 +26,13 @@
 namespace {
 
 constexpr std::string_view kUsage =
-    "usage: freshsel_lint [--format text|json|sarif] [--output FILE]\n"
-    "                     [--list-rules] [--disable RULE]... [--fix]\n"
-    "                     [--fix-dry-run] [--no-assert-rule]\n"
-    "                     [--guard-prefix PREFIX] PATH...\n";
+    "usage: freshsel_lint [--no-assert-rule] PATH...\n"
+    "       freshsel_lint --list-rules\n";
 
 int ListRules() {
   for (const freshsel::lint::RuleInfo& rule :
        freshsel::lint::RuleCatalog()) {
-    std::cout << rule.id << (rule.fixable ? "  [fixable]" : "") << "\n    "
-              << rule.summary << "\n";
+    std::cout << rule.id << "\n    " << rule.summary << "\n";
   }
   return 0;
 }
@@ -51,56 +42,13 @@ int ListRules() {
 int main(int argc, char** argv) {
   freshsel::lint::LintOptions options;
   std::vector<std::string> paths;
-  std::string format = "text";
-  std::string output_file;
-  bool fix = false;
-  bool fix_dry_run = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--no-assert-rule") {
       options.assert_rule = false;
-    } else if (arg == "--guard-prefix") {
-      if (i + 1 >= argc) {
-        std::cerr << "freshsel_lint: --guard-prefix needs a value\n";
-        return 2;
-      }
-      options.guard_prefix = argv[++i];
-    } else if (arg == "--format") {
-      if (i + 1 >= argc) {
-        std::cerr << "freshsel_lint: --format needs a value\n";
-        return 2;
-      }
-      format = argv[++i];
-      if (format != "text" && format != "json" && format != "sarif") {
-        std::cerr << "freshsel_lint: unknown format '" << format
-                  << "' (want text, json, or sarif)\n";
-        return 2;
-      }
-    } else if (arg == "--output") {
-      if (i + 1 >= argc) {
-        std::cerr << "freshsel_lint: --output needs a value\n";
-        return 2;
-      }
-      output_file = argv[++i];
-    } else if (arg == "--disable") {
-      if (i + 1 >= argc) {
-        std::cerr << "freshsel_lint: --disable needs a rule id\n";
-        return 2;
-      }
-      const std::string rule = argv[++i];
-      if (!freshsel::lint::IsKnownRule(rule)) {
-        std::cerr << "freshsel_lint: --disable: unknown rule '" << rule
-                  << "' (see --list-rules)\n";
-        return 2;
-      }
-      options.disabled_rules.insert(rule);
     } else if (arg == "--list-rules") {
       return ListRules();
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--fix-dry-run") {
-      fix_dry_run = true;
-    } else if (arg == "--help" || arg == "-h") {
+    } else if (arg == "--help") {
       std::cout << kUsage;
       return 0;
     } else if (!arg.empty() && arg.front() == '-') {
@@ -114,54 +62,15 @@ int main(int argc, char** argv) {
     std::cerr << kUsage;
     return 2;
   }
-  if (fix && fix_dry_run) {
-    std::cerr << "freshsel_lint: --fix and --fix-dry-run are exclusive\n";
-    return 2;
-  }
 
   std::size_t files_scanned = 0;
-  std::vector<freshsel::lint::Finding> findings =
+  const std::vector<freshsel::lint::Finding> findings =
       freshsel::lint::LintPaths(paths, options, &files_scanned);
-
-  if (fix || fix_dry_run) {
-    const std::vector<freshsel::lint::FixEdit> edits =
-        freshsel::lint::ApplyFixes(findings, /*apply=*/fix);
-    std::cerr << freshsel::lint::EditsToDiff(edits);
-    std::cerr << "freshsel_lint: " << edits.size() << " fix(es) "
-              << (fix ? "applied" : "available (dry run)") << "\n";
-    if (fix) {
-      // Re-lint so the report reflects the repaired tree.
-      findings = freshsel::lint::LintPaths(paths, options, &files_scanned);
-    }
+  for (const freshsel::lint::Finding& f : findings) {
+    std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
   }
-
-  std::string report;
-  if (format == "json") {
-    report = freshsel::lint::FindingsToJson(findings, files_scanned);
-  } else if (format == "sarif") {
-    report = freshsel::lint::FindingsToSarif(findings);
-  }
-
-  if (!output_file.empty()) {
-    std::ofstream out(output_file);
-    if (!out) {
-      std::cerr << "freshsel_lint: cannot write " << output_file << "\n";
-      return 2;
-    }
-    out << (format == "text"
-                ? freshsel::lint::FindingsToText(findings, files_scanned)
-                : report);
-  }
-
-  if (format == "text") {
-    for (const freshsel::lint::Finding& f : findings) {
-      std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] "
-                << f.message << "\n";
-    }
-    std::cout << "freshsel_lint: " << files_scanned << " file(s), "
-              << findings.size() << " finding(s)\n";
-  } else if (output_file.empty()) {
-    std::cout << report;
-  }
+  std::cout << "freshsel_lint: " << files_scanned << " file(s), "
+            << findings.size() << " finding(s)\n";
   return findings.empty() ? 0 : 1;
 }

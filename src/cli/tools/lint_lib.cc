@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -13,12 +12,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The engine's own sources mention the marker and macro spellings inside
-// string literals; the needles are spelled split so a self-scan never
-// mistakes the parser for a marker site.
+// The engine's own sources mention the marker spelling inside string
+// literals; the needle is spelled split so a self-scan never mistakes the
+// parser for a marker site.
 const std::string kAllowMarker = std::string("FRESHSEL_LINT") + "_ALLOW(";
-const std::string kFailpointMacro = std::string("FRESHSEL_") + "FAILPOINT";
-const std::string kObsMacroPrefix = std::string("FRESHSEL_") + "OBS_";
 
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -115,22 +112,10 @@ bool IsSourceFile(const fs::path& path) {
   return ext == ".h" || ext == ".cc" || ext == ".cpp";
 }
 
-std::string FirstToken(const std::string& line, std::size_t from) {
-  std::size_t start = from;
-  while (start < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[start])) != 0) {
-    ++start;
-  }
-  std::size_t end = start;
-  while (end < line.size() && IsIdentChar(line[end])) ++end;
-  return line.substr(start, end - start);
-}
-
-/// Comment/string blanking with independent switches, so each consumer can
-/// see exactly the text class it needs (pattern rules: neither; suppression
-/// parsing: comments only; failpoint-name: strings only).
-std::string StripImpl(const std::string& src, bool blank_comments,
-                      bool blank_strings) {
+/// Blanks string/char literal contents, and comments too when
+/// `blank_comments` is set: pattern rules see neither, suppression parsing
+/// keeps the comments its markers live in.
+std::string StripImpl(const std::string& src, bool blank_comments) {
   std::string out = src;
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
   State state = State::kCode;
@@ -174,14 +159,12 @@ std::string StripImpl(const std::string& src, bool blank_comments,
       case State::kChar: {
         const char quote = state == State::kString ? '"' : '\'';
         if (c == '\\') {
-          if (blank_strings) {
-            out[i] = ' ';
-            if (i + 1 < src.size() && next != '\n') out[i + 1] = ' ';
-          }
+          out[i] = ' ';
+          if (i + 1 < src.size() && next != '\n') out[i + 1] = ' ';
           ++i;
         } else if (c == quote) {
           state = State::kCode;
-        } else if (c != '\n' && blank_strings) {
+        } else if (c != '\n') {
           out[i] = ' ';
         }
         break;
@@ -194,18 +177,11 @@ std::string StripImpl(const std::string& src, bool blank_comments,
 /// Everything the per-rule checks need about one file, computed once.
 struct FileCtx {
   std::string file;                  ///< Path string for findings.
-  fs::path relative;                 ///< Relative to the scan root.
   std::string subtree;               ///< First relative component ("io"...).
   bool header = false;
   const LintOptions* options = nullptr;
-  std::vector<std::string> raw;      ///< Verbatim lines.
   std::vector<std::string> code;     ///< Comments and strings blanked.
-  std::vector<std::string> with_strings;  ///< Comments blanked only.
 };
-
-bool RuleEnabled(const FileCtx& ctx, const char* id) {
-  return ctx.options->disabled_rules.count(id) == 0;
-}
 
 // ---------------------------------------------------------------------------
 // Pattern rules (line-oriented, over comment/string-blanked text).
@@ -237,7 +213,6 @@ void CheckNoBareAssert(const FileCtx& ctx, std::vector<Finding>* findings) {
 }
 
 void CheckObsClock(const FileCtx& ctx, std::vector<Finding>* findings) {
-  if (!ctx.options->obs_clock_rule) return;
   // The obs subtree owns the process clock (obs/clock.h); everything else
   // must time through it.
   if (ctx.subtree == "obs") return;
@@ -298,50 +273,6 @@ void CheckIwyuSpot(const FileCtx& ctx, std::vector<Finding>* findings) {
       break;  // One finding per missing header is enough.
     }
   }
-}
-
-void CheckIncludeGuard(const FileCtx& ctx, std::vector<Finding>* findings) {
-  if (!ctx.header) return;
-  const std::string expected =
-      ExpectedGuard(ctx.relative, ctx.options->guard_prefix);
-  std::size_t ifndef_line = 0;
-  std::string seen_guard;
-  for (std::size_t i = 0; i < ctx.raw.size(); ++i) {
-    const std::string& line = ctx.raw[i];
-    const std::size_t hash = line.find_first_not_of(" \t");
-    if (hash == std::string::npos) continue;
-    if (line[hash] != '#') continue;
-    const std::string directive = FirstToken(line, hash + 1);
-    if (directive == "pragma" &&
-        line.find("once", hash) != std::string::npos) {
-      return;  // #pragma once is acceptable hygiene.
-    }
-    if (directive == "ifndef" && seen_guard.empty()) {
-      seen_guard = FirstToken(line, line.find("ifndef", hash) + 6);
-      ifndef_line = i + 1;
-      continue;
-    }
-    if (directive == "define" && !seen_guard.empty()) {
-      const std::string defined = FirstToken(line, line.find("define") + 6);
-      if (defined != seen_guard) {
-        findings->push_back(
-            {ctx.file, i + 1, "include-guard",
-             "#define '" + defined + "' does not match #ifndef '" +
-                 seen_guard + "'"});
-      } else if (seen_guard != expected) {
-        findings->push_back(
-            {ctx.file, ifndef_line, "include-guard",
-             "guard '" + seen_guard + "' should be '" + expected + "'"});
-      }
-      return;
-    }
-    // Any other directive before the #ifndef/#define pair means the guard
-    // does not wrap the whole header.
-    break;
-  }
-  findings->push_back({ctx.file, 1, "include-guard",
-                       "header lacks an include guard (expected '" +
-                           expected + "' or #pragma once)"});
 }
 
 // ---------------------------------------------------------------------------
@@ -435,149 +366,6 @@ void CheckRawMutex(const FileCtx& ctx, std::vector<Finding>* findings) {
 }
 
 // ---------------------------------------------------------------------------
-// failpoint-name: FRESHSEL_FAILPOINT ids follow `subsystem.site` so specs,
-// reports and docs can group injection sites by layer.
-
-bool IsValidFailpointName(std::string_view name) {
-  bool saw_dot = false;
-  bool segment_empty = true;
-  for (char c : name) {
-    if (c == '.') {
-      if (segment_empty) return false;
-      saw_dot = true;
-      segment_empty = true;
-    } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-               c == '_') {
-      segment_empty = false;
-    } else {
-      return false;
-    }
-  }
-  return saw_dot && !segment_empty;
-}
-
-/// Finds the string literal opening the macro's first argument, scanning
-/// from just past the macro's '(' across line breaks. Returns false when
-/// the first argument is not a string literal (e.g. the macro definition).
-bool FindFailpointLiteral(const std::vector<std::string>& lines,
-                          std::size_t line_index, std::size_t column,
-                          std::string* literal) {
-  std::size_t i = line_index;
-  std::size_t pos = column;
-  for (; i < lines.size() && i < line_index + 3; ++i) {
-    const std::string& line = lines[i];
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos])) != 0) {
-      ++pos;
-    }
-    if (pos < line.size()) {
-      if (line[pos] != '"') return false;
-      const std::size_t close = line.find('"', pos + 1);
-      if (close == std::string::npos) return false;
-      *literal = line.substr(pos + 1, close - pos - 1);
-      return true;
-    }
-    pos = 0;
-  }
-  return false;
-}
-
-void CheckFailpointName(const FileCtx& ctx, std::vector<Finding>* findings) {
-  for (std::size_t i = 0; i < ctx.with_strings.size(); ++i) {
-    const std::string& line = ctx.with_strings[i];
-    std::size_t pos = 0;
-    while ((pos = line.find(kFailpointMacro, pos)) != std::string::npos) {
-      const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-      std::size_t after = pos + kFailpointMacro.size();
-      // Accept the _RETURN variant.
-      if (line.compare(after, 7, "_RETURN") == 0) after += 7;
-      if (!left_ok || after >= line.size() || line[after] != '(') {
-        pos += kFailpointMacro.size();
-        continue;
-      }
-      std::string literal;
-      if (FindFailpointLiteral(ctx.with_strings, i, after + 1, &literal) &&
-          !IsValidFailpointName(literal)) {
-        findings->push_back(
-            {ctx.file, i + 1, "failpoint-name",
-             "failpoint id '" + literal +
-                 "' must follow subsystem.site naming "
-                 "([a-z0-9_]+(.[a-z0-9_]+)+, e.g. \"io.read\")"});
-      }
-      pos = after;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// obs-counter-name: FRESHSEL_OBS metric ids follow `subsystem.noun.verb`
-// (three or more lowercase dot-separated segments) so dashboards, the
-// report diff tool, and the OpenMetrics exposition can group series by
-// layer and entity without a hand-maintained mapping.
-
-bool IsValidMetricName(std::string_view name) {
-  std::size_t segments = 0;
-  bool segment_empty = true;
-  for (char c : name) {
-    if (c == '.') {
-      if (segment_empty) return false;
-      ++segments;
-      segment_empty = true;
-    } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-               c == '_') {
-      segment_empty = false;
-    } else {
-      return false;
-    }
-  }
-  if (segment_empty) return false;
-  ++segments;
-  return segments >= 3;
-}
-
-void CheckObsCounterName(const FileCtx& ctx,
-                         std::vector<Finding>* findings) {
-  // Macros whose first argument is a metric id. The definitions themselves
-  // (first argument a parameter name, not a string literal) are skipped by
-  // the literal scan, as are call-through wrappers.
-  static const std::vector<std::string_view>& kMetricMacros =
-      *new std::vector<std::string_view>{
-          "COUNT", "GAUGE_SET", "HISTOGRAM_RECORD", "SCOPED_LATENCY"};
-  for (std::size_t i = 0; i < ctx.with_strings.size(); ++i) {
-    const std::string& line = ctx.with_strings[i];
-    std::size_t pos = 0;
-    while ((pos = line.find(kObsMacroPrefix, pos)) != std::string::npos) {
-      const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-      std::size_t after = pos + kObsMacroPrefix.size();
-      pos = after;
-      if (!left_ok) continue;
-      bool known = false;
-      for (std::string_view suffix : kMetricMacros) {
-        if (line.compare(after, suffix.size(), suffix) == 0 &&
-            after + suffix.size() < line.size() &&
-            line[after + suffix.size()] == '(') {
-          after += suffix.size();
-          known = true;
-          break;
-        }
-      }
-      if (!known) continue;
-      std::string literal;
-      if (FindFailpointLiteral(ctx.with_strings, i, after + 1, &literal) &&
-          !IsValidMetricName(literal)) {
-        findings->push_back(
-            {ctx.file, i + 1, "obs-counter-name",
-             "metric id '" + literal +
-                 "' must follow subsystem.noun.verb naming "
-                 "([a-z0-9_]+(.[a-z0-9_]+){2,}, e.g. "
-                 "\"selection.oracle.calls\")"});
-      }
-      pos = after;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions.
 
 void ApplySuppressions(std::vector<Suppression>& suppressions,
@@ -623,75 +411,26 @@ void ApplySuppressions(std::vector<Suppression>& suppressions,
   }
 }
 
-// ---------------------------------------------------------------------------
-// JSON helpers (the lint library stays dependency-free of obs/).
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& RuleCatalog() {
   static const std::vector<RuleInfo>& catalog = *new std::vector<RuleInfo>{
-      {"failpoint-name",
-       "FRESHSEL_FAILPOINT ids follow subsystem.site naming", true},
-      {"include-guard",
-       "headers carry the canonical FRESHSEL_<PATH>_H_ include guard",
-       false},
-      {"io", "file or directory could not be read", false},
+      {"io", "file or directory could not be read"},
       {"iwyu-spot",
-       "spot include-what-you-use: <limits> and <cstdint> must be direct",
-       true},
+       "spot include-what-you-use: <limits> and <cstdint> must be direct"},
       {"lint-allow",
-       "suppression hygiene: markers need a reason and must match a finding",
-       false},
+       "suppression hygiene: markers need a reason and must match a finding"},
       {"no-bare-assert",
-       "library code uses FRESHSEL_CHECK/DCHECK instead of assert()", false},
-      {"no-rand", "rand()/srand() banned in favor of seeded freshsel::Rng",
-       false},
-      {"no-using-namespace", "'using namespace' banned in headers", false},
+       "library code uses FRESHSEL_CHECK/DCHECK instead of assert()"},
+      {"no-rand", "rand()/srand() banned in favor of seeded freshsel::Rng"},
+      {"no-using-namespace", "'using namespace' banned in headers"},
       {"nondeterminism",
        "wall-clock reads, OS entropy, and unordered iteration in output "
-       "paths break byte-identity",
-       false},
-      {"obs-clock",
-       "steady_clock outside obs/; time through the obs layer", false},
-      {"obs-counter-name",
-       "FRESHSEL_OBS metric ids follow subsystem.noun.verb naming", false},
+       "paths break byte-identity"},
+      {"obs-clock", "steady_clock outside obs/; time through the obs layer"},
       {"raw-mutex",
        "std::mutex family outside src/common/; use annotated "
-       "freshsel::Mutex",
-       false},
+       "freshsel::Mutex"},
   };
   return catalog;
 }
@@ -703,33 +442,14 @@ bool IsKnownRule(const std::string& id) {
 }
 
 std::string StripCommentsAndStrings(const std::string& src) {
-  return StripImpl(src, /*blank_comments=*/true, /*blank_strings=*/true);
-}
-
-std::string ExpectedGuard(const fs::path& relative,
-                          const std::string& prefix) {
-  std::string guard = prefix;
-  for (const fs::path& part : relative) {
-    for (char c : part.string()) {
-      if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-        guard.push_back(static_cast<char>(
-            std::toupper(static_cast<unsigned char>(c))));
-      } else {
-        guard.push_back('_');
-      }
-    }
-    guard.push_back('_');
-  }
-  // ".../NAME_H_" is already complete: the extension's dot became '_'.
-  return guard;
+  return StripImpl(src, /*blank_comments=*/true);
 }
 
 std::vector<Suppression> ParseSuppressions(const std::string& raw) {
   // Strings are blanked first so a marker quoted in test fixture text (or
   // in this very file) is not a live suppression; markers live in comments.
   const std::vector<std::string> lines =
-      SplitLines(StripImpl(raw, /*blank_comments=*/false,
-                           /*blank_strings=*/true));
+      SplitLines(StripImpl(raw, /*blank_comments=*/false));
   std::vector<Suppression> suppressions;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& line = lines[i];
@@ -779,40 +499,21 @@ void LintFile(const fs::path& file, const fs::path& relative,
 
   FileCtx ctx;
   ctx.file = file.string();
-  ctx.relative = relative;
   ctx.subtree = relative.begin() != relative.end()
                     ? relative.begin()->string()
                     : std::string();
   ctx.header = IsHeader(file);
   ctx.options = &options;
-  ctx.raw = SplitLines(raw);
   ctx.code = SplitLines(StripCommentsAndStrings(raw));
-  ctx.with_strings = SplitLines(
-      StripImpl(raw, /*blank_comments=*/true, /*blank_strings=*/false));
 
   std::vector<Finding> file_findings;
-  if (RuleEnabled(ctx, "no-rand")) CheckNoRand(ctx, &file_findings);
-  if (RuleEnabled(ctx, "no-bare-assert")) {
-    CheckNoBareAssert(ctx, &file_findings);
-  }
-  if (RuleEnabled(ctx, "obs-clock")) CheckObsClock(ctx, &file_findings);
-  if (RuleEnabled(ctx, "no-using-namespace")) {
-    CheckNoUsingNamespace(ctx, &file_findings);
-  }
-  if (RuleEnabled(ctx, "iwyu-spot")) CheckIwyuSpot(ctx, &file_findings);
-  if (RuleEnabled(ctx, "nondeterminism")) {
-    CheckNondeterminism(ctx, &file_findings);
-  }
-  if (RuleEnabled(ctx, "raw-mutex")) CheckRawMutex(ctx, &file_findings);
-  if (RuleEnabled(ctx, "failpoint-name")) {
-    CheckFailpointName(ctx, &file_findings);
-  }
-  if (RuleEnabled(ctx, "obs-counter-name")) {
-    CheckObsCounterName(ctx, &file_findings);
-  }
-  if (RuleEnabled(ctx, "include-guard")) {
-    CheckIncludeGuard(ctx, &file_findings);
-  }
+  CheckNoRand(ctx, &file_findings);
+  CheckNoBareAssert(ctx, &file_findings);
+  CheckObsClock(ctx, &file_findings);
+  CheckNoUsingNamespace(ctx, &file_findings);
+  CheckIwyuSpot(ctx, &file_findings);
+  CheckNondeterminism(ctx, &file_findings);
+  CheckRawMutex(ctx, &file_findings);
 
   // Stable order: by line, then rule, so multi-rule lines render
   // deterministically regardless of check order.
@@ -859,296 +560,6 @@ std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
   }
   if (files_scanned != nullptr) *files_scanned = files.size();
   return findings;
-}
-
-std::string FindingsToText(const std::vector<Finding>& findings,
-                           std::size_t files_scanned) {
-  std::string out;
-  for (const Finding& finding : findings) {
-    out += finding.file + ":" + std::to_string(finding.line) + ": [" +
-           finding.rule + "] " + finding.message + "\n";
-  }
-  out += "freshsel_lint: " + std::to_string(files_scanned) + " file(s), " +
-         std::to_string(findings.size()) + " finding(s)\n";
-  return out;
-}
-
-std::string FindingsToJson(const std::vector<Finding>& findings,
-                           std::size_t files_scanned) {
-  std::string out = "{\n  \"files_scanned\": " +
-                    std::to_string(files_scanned) + ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& finding = findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"file\": \"" + JsonEscape(finding.file) +
-           "\", \"line\": " + std::to_string(finding.line) +
-           ", \"rule\": \"" + JsonEscape(finding.rule) +
-           "\", \"message\": \"" + JsonEscape(finding.message) + "\"}";
-  }
-  out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-std::string FindingsToSarif(const std::vector<Finding>& findings) {
-  const std::vector<RuleInfo>& catalog = RuleCatalog();
-  std::map<std::string, std::size_t> rule_index;
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    rule_index[catalog[i].id] = i;
-  }
-  std::string out;
-  out +=
-      "{\n"
-      "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/"
-      "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n"
-      "  \"version\": \"2.1.0\",\n"
-      "  \"runs\": [\n"
-      "    {\n"
-      "      \"tool\": {\n"
-      "        \"driver\": {\n"
-      "          \"name\": \"freshsel_lint\",\n"
-      "          \"informationUri\": "
-      "\"https://github.com/freshsel/freshsel\",\n"
-      "          \"rules\": [";
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "            {\"id\": \"" + JsonEscape(catalog[i].id) +
-           "\", \"shortDescription\": {\"text\": \"" +
-           JsonEscape(catalog[i].summary) + "\"}}";
-  }
-  out +=
-      "\n          ]\n"
-      "        }\n"
-      "      },\n"
-      "      \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& finding = findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "        {\"ruleId\": \"" + JsonEscape(finding.rule) + "\"";
-    auto it = rule_index.find(finding.rule);
-    if (it != rule_index.end()) {
-      out += ", \"ruleIndex\": " + std::to_string(it->second);
-    }
-    out += ", \"level\": \"error\", \"message\": {\"text\": \"" +
-           JsonEscape(finding.message) +
-           "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           JsonEscape(finding.file) +
-           "\"}, \"region\": {\"startLine\": " +
-           std::to_string(finding.line == 0 ? 1 : finding.line) + "}}}]}";
-  }
-  out += findings.empty() ? "]\n" : "\n      ]\n";
-  out +=
-      "    }\n"
-      "  ]\n"
-      "}\n";
-  return out;
-}
-
-namespace {
-
-/// Loads `file` into lines (keeping no trailing-newline bookkeeping simple:
-/// files are rewritten with a trailing newline, which the tree style
-/// mandates anyway).
-bool ReadLines(const std::string& file, std::vector<std::string>* lines) {
-  std::ifstream in(file);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *lines = SplitLines(buffer.str());
-  if (!lines->empty() && lines->back().empty()) lines->pop_back();
-  return true;
-}
-
-bool WriteLines(const std::string& file,
-                const std::vector<std::string>& lines) {
-  std::ofstream out(file);
-  if (!out) return false;
-  for (const std::string& line : lines) out << line << "\n";
-  return static_cast<bool>(out);
-}
-
-/// The header name ("limits", "cstdint") an iwyu-spot message names.
-std::string IwyuHeaderFromMessage(const std::string& message) {
-  const std::size_t open = message.rfind('<');
-  const std::size_t close = message.rfind('>');
-  if (open == std::string::npos || close == std::string::npos ||
-      close <= open) {
-    return std::string();
-  }
-  return message.substr(open + 1, close - open - 1);
-}
-
-/// Inserts `#include <header>` into the (sorted) system-include block, or
-/// after the last include, or after the include-guard prologue. Returns
-/// the 1-based insertion line.
-std::size_t InsertSystemInclude(std::vector<std::string>* lines,
-                                const std::string& header) {
-  const std::string include_line = "#include <" + header + ">";
-  std::size_t block_begin = static_cast<std::size_t>(-1);
-  std::size_t block_end = 0;
-  std::size_t last_include = static_cast<std::size_t>(-1);
-  std::size_t guard_define = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < lines->size(); ++i) {
-    const std::string& line = (*lines)[i];
-    if (line.rfind("#include <", 0) == 0) {
-      if (block_begin == static_cast<std::size_t>(-1)) block_begin = i;
-      block_end = i;
-      last_include = i;
-    } else if (line.rfind("#include", 0) == 0) {
-      last_include = i;
-    } else if (guard_define == static_cast<std::size_t>(-1) &&
-               line.rfind("#define", 0) == 0) {
-      guard_define = i;
-    }
-  }
-  std::size_t insert_at;
-  if (block_begin != static_cast<std::size_t>(-1)) {
-    insert_at = block_end + 1;  // Default: after the block.
-    for (std::size_t i = block_begin; i <= block_end; ++i) {
-      if ((*lines)[i].rfind("#include <", 0) == 0 &&
-          include_line < (*lines)[i]) {
-        insert_at = i;
-        break;
-      }
-    }
-  } else if (last_include != static_cast<std::size_t>(-1)) {
-    insert_at = last_include + 1;
-  } else if (guard_define != static_cast<std::size_t>(-1)) {
-    insert_at = guard_define + 1;
-    // Keep the conventional blank line after the guard prologue.
-    if (insert_at < lines->size() && (*lines)[insert_at].empty()) {
-      ++insert_at;
-    }
-  } else {
-    insert_at = 0;
-  }
-  lines->insert(lines->begin() + static_cast<std::ptrdiff_t>(insert_at),
-                include_line);
-  return insert_at + 1;
-}
-
-/// Mechanical failpoint-name repair: lowercase, squash invalid characters
-/// to '_', and prefix a best-guess subsystem (the file's directory name)
-/// when no '.' separates subsystem from site.
-std::string CanonicalFailpointName(const std::string& literal,
-                                   const std::string& file) {
-  std::string fixed;
-  fixed.reserve(literal.size());
-  for (char c : literal) {
-    const char lower = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c)));
-    if ((lower >= 'a' && lower <= 'z') || (lower >= '0' && lower <= '9') ||
-        lower == '_' || lower == '.') {
-      fixed.push_back(lower);
-    } else {
-      fixed.push_back('_');
-    }
-  }
-  // Collapse degenerate dot runs and trim dot ends.
-  std::string clean;
-  for (char c : fixed) {
-    if (c == '.' && (clean.empty() || clean.back() == '.')) continue;
-    clean.push_back(c);
-  }
-  while (!clean.empty() && clean.back() == '.') clean.pop_back();
-  if (clean.find('.') == std::string::npos) {
-    const fs::path parent = fs::path(file).parent_path().filename();
-    std::string subsystem = parent.string();
-    if (subsystem.empty()) subsystem = "app";
-    clean = subsystem + "." + (clean.empty() ? "site" : clean);
-  }
-  return clean;
-}
-
-}  // namespace
-
-std::vector<FixEdit> ApplyFixes(const std::vector<Finding>& findings,
-                                bool apply) {
-  // Group fixable findings per file, applying top-to-bottom so later line
-  // numbers stay valid (insertions only shift lines below them; we
-  // re-derive offsets by applying edits bottom-up).
-  std::map<std::string, std::vector<const Finding*>> by_file;
-  for (const Finding& finding : findings) {
-    if (finding.rule == "iwyu-spot" || finding.rule == "failpoint-name") {
-      by_file[finding.file].push_back(&finding);
-    }
-  }
-  std::vector<FixEdit> edits;
-  for (auto& [file, file_findings] : by_file) {
-    std::vector<std::string> lines;
-    if (!ReadLines(file, &lines)) continue;
-    bool changed = false;
-    // failpoint-name first (in-place rewrites keep line numbers stable),
-    // then iwyu insertions bottom-up.
-    for (const Finding* finding : file_findings) {
-      if (finding->rule != "failpoint-name") continue;
-      const std::size_t open = finding->message.find('\'');
-      const std::size_t close =
-          open == std::string::npos
-              ? std::string::npos
-              : finding->message.find('\'', open + 1);
-      if (close == std::string::npos || finding->line == 0 ||
-          finding->line > lines.size()) {
-        continue;
-      }
-      const std::string literal =
-          finding->message.substr(open + 1, close - open - 1);
-      const std::string fixed = CanonicalFailpointName(literal, file);
-      // The literal may sit on the macro line or on the next (wrapped
-      // argument); rewrite the first occurrence found.
-      for (std::size_t i = finding->line - 1;
-           i < std::min(finding->line + 2, lines.size()); ++i) {
-        const std::string quoted = "\"" + literal + "\"";
-        const std::size_t at = lines[i].find(quoted);
-        if (at == std::string::npos) continue;
-        FixEdit edit;
-        edit.file = file;
-        edit.line = i + 1;
-        edit.rule = "failpoint-name";
-        edit.before = lines[i];
-        lines[i].replace(at, quoted.size(), "\"" + fixed + "\"");
-        edit.after = lines[i];
-        edits.push_back(std::move(edit));
-        changed = true;
-        break;
-      }
-    }
-    for (const Finding* finding : file_findings) {
-      if (finding->rule != "iwyu-spot") continue;
-      const std::string header = IwyuHeaderFromMessage(finding->message);
-      if (header.empty()) continue;
-      FixEdit edit;
-      edit.file = file;
-      edit.rule = "iwyu-spot";
-      edit.after = "#include <" + header + ">";
-      edit.line = InsertSystemInclude(&lines, header);
-      edits.push_back(std::move(edit));
-      changed = true;
-    }
-    if (apply && changed) WriteLines(file, lines);
-  }
-  std::sort(edits.begin(), edits.end(),
-            [](const FixEdit& a, const FixEdit& b) {
-              if (a.file != b.file) return a.file < b.file;
-              return a.line < b.line;
-            });
-  return edits;
-}
-
-std::string EditsToDiff(const std::vector<FixEdit>& edits) {
-  std::string out;
-  std::string current_file;
-  for (const FixEdit& edit : edits) {
-    if (edit.file != current_file) {
-      current_file = edit.file;
-      out += "--- " + edit.file + "\n+++ " + edit.file + "\n";
-    }
-    out += "@@ line " + std::to_string(edit.line) + " [" + edit.rule +
-           "] @@\n";
-    if (!edit.before.empty()) out += "-" + edit.before + "\n";
-    out += "+" + edit.after + "\n";
-  }
-  return out;
 }
 
 }  // namespace freshsel::lint

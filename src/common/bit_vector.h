@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_BIT_VECTOR_H_
-#define FRESHSEL_COMMON_BIT_VECTOR_H_
+#pragma once
 
 #include <cstddef>
 #include <cstdint>
@@ -106,5 +105,3 @@ class BitVector {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_BIT_VECTOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_CHECK_H_
-#define FRESHSEL_COMMON_CHECK_H_
+#pragma once
 
 #include <cmath>
 #include <sstream>
@@ -119,5 +118,3 @@ struct CheckVoidifier {
 #define FRESHSEL_DCHECK_NONNEG(a) FRESHSEL_CHECK_NONNEG(a)
 #define FRESHSEL_DCHECK_PROB(a) FRESHSEL_CHECK_PROB(a)
 #endif
-
-#endif  // FRESHSEL_COMMON_CHECK_H_

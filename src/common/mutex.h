@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_MUTEX_H_
-#define FRESHSEL_COMMON_MUTEX_H_
+#pragma once
 
 #include <condition_variable>
 #include <mutex>
@@ -86,5 +85,3 @@ class CondVar {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_MUTEX_H_

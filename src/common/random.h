@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_RANDOM_H_
-#define FRESHSEL_COMMON_RANDOM_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -77,5 +76,3 @@ class Rng {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_RANDOM_H_

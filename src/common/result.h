@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_RESULT_H_
-#define FRESHSEL_COMMON_RESULT_H_
+#pragma once
 
 #include <optional>
 #include <utility>
@@ -93,5 +92,3 @@ class [[nodiscard]] Result {
   lhs = std::move(var).value()
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_RESULT_H_

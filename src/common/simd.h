@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_SIMD_H_
-#define FRESHSEL_COMMON_SIMD_H_
+#pragma once
 
 #include <cstddef>
 
@@ -148,5 +147,3 @@ using scalar::MulInPlaceFloored;
 #endif
 
 }  // namespace freshsel::simd
-
-#endif  // FRESHSEL_COMMON_SIMD_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_STATUS_H_
-#define FRESHSEL_COMMON_STATUS_H_
+#pragma once
 
 #include <string>
 #include <string_view>
@@ -103,5 +102,3 @@ class [[nodiscard]] Status {
   } while (false)
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_STATUS_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_TABLE_PRINTER_H_
-#define FRESHSEL_COMMON_TABLE_PRINTER_H_
+#pragma once
 
 #include <ostream>
 #include <string>
@@ -50,5 +49,3 @@ class SeriesPrinter {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_TABLE_PRINTER_H_

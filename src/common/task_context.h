@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_TASK_CONTEXT_H_
-#define FRESHSEL_COMMON_TASK_CONTEXT_H_
+#pragma once
 
 #include <cstdint>
 
@@ -31,5 +30,3 @@ class ScopedTaskContext {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_TASK_CONTEXT_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_THREAD_ANNOTATIONS_H_
-#define FRESHSEL_COMMON_THREAD_ANNOTATIONS_H_
+#pragma once
 
 /// Clang thread-safety-analysis attributes (see DESIGN.md §12). Annotating
 /// which mutex guards which state turns the locking discipline the comments
@@ -87,5 +86,3 @@
 
 #define FRESHSEL_NO_THREAD_SAFETY_ANALYSIS \
   FRESHSEL_THREAD_ANNOTATION_(no_thread_safety_analysis)
-
-#endif  // FRESHSEL_COMMON_THREAD_ANNOTATIONS_H_

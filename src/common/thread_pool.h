@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_THREAD_POOL_H_
-#define FRESHSEL_COMMON_THREAD_POOL_H_
+#pragma once
 
 #include <cstddef>
 #include <cstdint>
@@ -84,5 +83,3 @@ class ThreadPool {
 };
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_THREAD_POOL_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_COMMON_TIME_TYPES_H_
-#define FRESHSEL_COMMON_TIME_TYPES_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -40,5 +39,3 @@ inline TimePoints MakeTimePoints(TimePoint start, std::int64_t count,
 }
 
 }  // namespace freshsel
-
-#endif  // FRESHSEL_COMMON_TIME_TYPES_H_

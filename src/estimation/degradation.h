@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_ESTIMATION_DEGRADATION_H_
-#define FRESHSEL_ESTIMATION_DEGRADATION_H_
+#pragma once
 
 #include <cstddef>
 #include <string>
@@ -84,5 +83,3 @@ Result<RobustProfiles> LearnSourceProfilesRobust(
     DegradationMode mode);
 
 }  // namespace freshsel::estimation
-
-#endif  // FRESHSEL_ESTIMATION_DEGRADATION_H_

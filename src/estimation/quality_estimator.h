@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_ESTIMATION_QUALITY_ESTIMATOR_H_
-#define FRESHSEL_ESTIMATION_QUALITY_ESTIMATOR_H_
+#pragma once
 
 #include <atomic>
 #include <cstdint>
@@ -455,5 +454,3 @@ class QualityEstimator {
 };
 
 }  // namespace freshsel::estimation
-
-#endif  // FRESHSEL_ESTIMATION_QUALITY_ESTIMATOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_ESTIMATION_SOURCE_PROFILE_H_
-#define FRESHSEL_ESTIMATION_SOURCE_PROFILE_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -96,5 +95,3 @@ Result<std::vector<SourceProfile>> LearnSourceProfiles(
     const std::vector<source::SourceHistory>& histories, TimePoint t0);
 
 }  // namespace freshsel::estimation
-
-#endif  // FRESHSEL_ESTIMATION_SOURCE_PROFILE_H_

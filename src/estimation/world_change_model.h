@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_ESTIMATION_WORLD_CHANGE_MODEL_H_
-#define FRESHSEL_ESTIMATION_WORLD_CHANGE_MODEL_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -61,5 +60,3 @@ class WorldChangeModel {
 };
 
 }  // namespace freshsel::estimation
-
-#endif  // FRESHSEL_ESTIMATION_WORLD_CHANGE_MODEL_H_

@@ -141,6 +141,12 @@ Status ParseOneSpec(const std::string& clause, std::string* name,
                                    clause + "'");
   }
   *name = clause.substr(0, eq);
+  if (!IsValidFailpointName(*name)) {
+    return Status::InvalidArgument(
+        "failpoint name '" + *name +
+        "' must follow subsystem.site ([a-z0-9_]+, two or more "
+        "'.'-separated segments)");
+  }
   const std::vector<std::string> parts = Split(clause.substr(eq + 1), ':');
   const std::string& mode = parts[0];
   auto parse_u64 = [](const std::string& text,

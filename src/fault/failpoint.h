@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_FAULT_FAILPOINT_H_
-#define FRESHSEL_FAULT_FAILPOINT_H_
+#pragma once
 
 #include <atomic>
 #include <cstdint>
@@ -12,6 +11,7 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/thread_annotations.h"
 
 namespace freshsel::fault {
@@ -41,6 +41,30 @@ enum class TriggerMode {
   kEveryNth,
   kProbability,
 };
+
+/// Failpoint ids follow `subsystem.site`: two or more '.'-separated
+/// [a-z0-9_]+ segments, e.g. "io.read", so specs, reports and docs can
+/// group injection sites by layer. The FRESHSEL_FAILPOINT* macros check
+/// their literal at compile time; ArmFromSpec rejects a clause whose name
+/// breaks it.
+constexpr bool IsValidFailpointName(std::string_view name) {
+  return DottedNameSegments(name) >= 2;
+}
+
+namespace internal {
+
+/// Deliberately not constexpr: CheckedFailpointName calls it only for a
+/// bad name, so the compile error names the rule that was broken.
+inline void failpoint_name_must_follow_subsystem_site() {}
+
+/// Passes a failpoint-id literal through unchanged, or fails the build
+/// when it breaks IsValidFailpointName.
+consteval std::string_view CheckedFailpointName(std::string_view name) {
+  if (!IsValidFailpointName(name)) failpoint_name_must_follow_subsystem_site();
+  return name;
+}
+
+}  // namespace internal
 
 /// Human-readable mode name ("disarmed", "always", "once", "nth", "prob").
 std::string_view TriggerModeName(TriggerMode mode);
@@ -140,8 +164,9 @@ class FailpointRegistry {
   /// with modes `off`, `always`, `once`, `nth:N`, `prob:P[:SEED]`, e.g.
   ///   "io.read=nth:3;estimation.learn=prob:0.25:7"
   /// Separators ';' and ',' are interchangeable; blanks are ignored.
-  /// Returns InvalidArgument on grammar errors (no partial arming: the
-  /// whole spec is validated before any failpoint is touched).
+  /// Returns InvalidArgument on grammar errors, including a name that
+  /// breaks IsValidFailpointName (no partial arming: the whole spec is
+  /// validated before any failpoint is touched).
   Status ArmFromSpec(std::string_view spec);
 
   /// ArmFromSpec(getenv("FRESHSEL_FAILPOINTS")); no-op when unset/empty.
@@ -171,11 +196,13 @@ class FailpointRegistry {
 /// Evaluates the named failpoint's trigger and discards the outcome. Use
 /// to mark reachability of a site whose failure is injected elsewhere, or
 /// to drive hit-pattern assertions in tests. `name` must be a string
-/// literal (the registry lookup is cached in a function-local static).
+/// literal that follows subsystem.site, checked at compile time (the
+/// registry lookup is cached in a function-local static).
 #define FRESHSEL_FAILPOINT(name)                                       \
   do {                                                                 \
     static ::freshsel::fault::Failpoint& fs_fault_point =              \
-        ::freshsel::fault::FailpointRegistry::Global().Get(name);      \
+        ::freshsel::fault::FailpointRegistry::Global().Get(            \
+            ::freshsel::fault::internal::CheckedFailpointName(name));  \
     fs_fault_point.ShouldFail();                                       \
   } while (0)
 
@@ -186,10 +213,9 @@ class FailpointRegistry {
 #define FRESHSEL_FAILPOINT_RETURN(name, expr)                          \
   do {                                                                 \
     static ::freshsel::fault::Failpoint& fs_fault_point =              \
-        ::freshsel::fault::FailpointRegistry::Global().Get(name);      \
+        ::freshsel::fault::FailpointRegistry::Global().Get(            \
+            ::freshsel::fault::internal::CheckedFailpointName(name));  \
     if (fs_fault_point.ShouldFail()) {                                 \
       return (expr);                                                   \
     }                                                                  \
   } while (0)
-
-#endif  // FRESHSEL_FAULT_FAILPOINT_H_

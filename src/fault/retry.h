@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_FAULT_RETRY_H_
-#define FRESHSEL_FAULT_RETRY_H_
+#pragma once
 
 #include <cstdint>
 #include <functional>
@@ -87,5 +86,3 @@ class RetryPolicy {
 };
 
 }  // namespace freshsel::fault
-
-#endif  // FRESHSEL_FAULT_RETRY_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_FRESHSEL_H_
-#define FRESHSEL_FRESHSEL_H_
+#pragma once
 
 /// Umbrella header for the freshsel library - everything a downstream user
 /// needs to characterize dynamic data sources and select the
@@ -68,5 +67,3 @@
 #include "world/entity.h"
 #include "world/world.h"
 #include "world/world_simulator.h"
-
-#endif  // FRESHSEL_FRESHSEL_H_

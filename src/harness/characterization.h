@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_HARNESS_CHARACTERIZATION_H_
-#define FRESHSEL_HARNESS_CHARACTERIZATION_H_
+#pragma once
 
 #include <string>
 #include <vector>
@@ -34,5 +33,3 @@ std::vector<SourceCharacterization> CharacterizeSources(
     const std::vector<workloads::SourceClass>& classes);
 
 }  // namespace freshsel::harness
-
-#endif  // FRESHSEL_HARNESS_CHARACTERIZATION_H_

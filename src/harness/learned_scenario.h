@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_HARNESS_LEARNED_SCENARIO_H_
-#define FRESHSEL_HARNESS_LEARNED_SCENARIO_H_
+#pragma once
 
 #include <vector>
 
@@ -43,5 +42,3 @@ Result<LearnedScenario> LearnScenarioRobust(const workloads::Scenario& scenario,
                                             estimation::DegradationMode mode);
 
 }  // namespace freshsel::harness
-
-#endif  // FRESHSEL_HARNESS_LEARNED_SCENARIO_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_HARNESS_PREDICTION_EXPERIMENT_H_
-#define FRESHSEL_HARNESS_PREDICTION_EXPERIMENT_H_
+#pragma once
 
 #include <vector>
 
@@ -29,5 +28,3 @@ Result<QualityErrorSeries> SourceQualityPredictionErrors(
     const TimePoints& eval_times);
 
 }  // namespace freshsel::harness
-
-#endif  // FRESHSEL_HARNESS_PREDICTION_EXPERIMENT_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_HARNESS_SELECTION_EXPERIMENT_H_
-#define FRESHSEL_HARNESS_SELECTION_EXPERIMENT_H_
+#pragma once
 
 #include <cstdint>
 #include <limits>
@@ -95,5 +94,3 @@ std::vector<DomainPoint> LargestSubdomainPoints(const world::World& world,
                                                     UINT32_MAX);
 
 }  // namespace freshsel::harness
-
-#endif  // FRESHSEL_HARNESS_SELECTION_EXPERIMENT_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_INTEGRATION_ENTITY_DICTIONARY_H_
-#define FRESHSEL_INTEGRATION_ENTITY_DICTIONARY_H_
+#pragma once
 
 #include <optional>
 #include <string>
@@ -44,5 +43,3 @@ class EntityDictionary {
 };
 
 }  // namespace freshsel::integration
-
-#endif  // FRESHSEL_INTEGRATION_ENTITY_DICTIONARY_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_INTEGRATION_HISTORY_INTEGRATION_H_
-#define FRESHSEL_INTEGRATION_HISTORY_INTEGRATION_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -45,5 +44,3 @@ Result<ReconstructionResult> ReconstructWorld(
     TimePoint horizon, std::size_t original_entity_count);
 
 }  // namespace freshsel::integration
-
-#endif  // FRESHSEL_INTEGRATION_HISTORY_INTEGRATION_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_INTEGRATION_RECONSTRUCTION_QUALITY_H_
-#define FRESHSEL_INTEGRATION_RECONSTRUCTION_QUALITY_H_
+#pragma once
 
 #include "integration/history_integration.h"
 #include "world/world.h"
@@ -44,5 +43,3 @@ ReconstructionQuality EvaluateReconstruction(
         ReconstructionQualityOptions());
 
 }  // namespace freshsel::integration
-
-#endif  // FRESHSEL_INTEGRATION_RECONSTRUCTION_QUALITY_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_INTEGRATION_SIGNATURES_H_
-#define FRESHSEL_INTEGRATION_SIGNATURES_H_
+#pragma once
 
 #include <vector>
 
@@ -37,5 +36,3 @@ BitVector DomainMask(const world::World& world,
                      const std::vector<world::SubdomainId>& subdomains);
 
 }  // namespace freshsel::integration
-
-#endif  // FRESHSEL_INTEGRATION_SIGNATURES_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_INTEGRATION_UNION_INTEGRATOR_H_
-#define FRESHSEL_INTEGRATION_UNION_INTEGRATOR_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -45,5 +44,3 @@ IntegratedSnapshot IntegrateAt(
     const std::vector<const source::SourceHistory*>& sources, TimePoint t);
 
 }  // namespace freshsel::integration
-
-#endif  // FRESHSEL_INTEGRATION_UNION_INTEGRATOR_H_

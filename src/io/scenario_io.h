@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_IO_SCENARIO_IO_H_
-#define FRESHSEL_IO_SCENARIO_IO_H_
+#pragma once
 
 #include <string>
 
@@ -61,5 +60,3 @@ Status WriteSourceHistoryCsv(const source::SourceHistory& history,
                              const fault::RetryPolicy& retry);
 
 }  // namespace freshsel::io
-
-#endif  // FRESHSEL_IO_SCENARIO_IO_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_METRICS_QUALITY_H_
-#define FRESHSEL_METRICS_QUALITY_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -81,5 +80,3 @@ DelayStats InsertionDelayStats(const world::World& world,
                                double delay_threshold);
 
 }  // namespace freshsel::metrics
-
-#endif  // FRESHSEL_METRICS_QUALITY_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_CLOCK_H_
-#define FRESHSEL_OBS_CLOCK_H_
+#pragma once
 
 #include <chrono>
 #include <cstdint>
@@ -24,5 +23,3 @@ inline double NsToSeconds(std::uint64_t ns) {
 }
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_CLOCK_H_

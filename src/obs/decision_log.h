@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_DECISION_LOG_H_
-#define FRESHSEL_OBS_DECISION_LOG_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -118,5 +117,3 @@ class DecisionLog {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_DECISION_LOG_H_

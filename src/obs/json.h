@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_JSON_H_
-#define FRESHSEL_OBS_JSON_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -62,5 +61,3 @@ class JsonWriter {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_JSON_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_JSON_READER_H_
-#define FRESHSEL_OBS_JSON_READER_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -93,5 +92,3 @@ Result<JsonValue> ParseJson(std::string_view text);
 Result<JsonValue> ParseJsonFile(const std::string& path);
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_JSON_READER_H_

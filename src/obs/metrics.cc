@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/check.h"
 #include "common/string_util.h"
 #include "obs/json.h"
 
@@ -178,12 +179,24 @@ std::string MetricsSnapshot::ToText() const {
   return out;
 }
 
+namespace {
+
+void CheckMetricName(std::string_view name) {
+  FRESHSEL_CHECK(IsValidMetricName(name))
+      << "metric name '" << name
+      << "' must follow subsystem.noun.verb ([a-z0-9_]+, three or more "
+         "'.'-separated segments)";
+}
+
+}  // namespace
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
+  CheckMetricName(name);
   MutexLock lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -194,6 +207,7 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name) {
+  CheckMetricName(name);
   MutexLock lock(mutex_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
@@ -208,6 +222,7 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<double> bounds) {
+  CheckMetricName(name);
   MutexLock lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

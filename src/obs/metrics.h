@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_METRICS_H_
-#define FRESHSEL_OBS_METRICS_H_
+#pragma once
 
 #include <array>
 #include <atomic>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/string_util.h"
 #include "common/thread_annotations.h"
 #include "obs/timer.h"
 
@@ -142,6 +142,16 @@ struct MetricsSnapshot {
   std::string ToOpenMetrics() const;
 };
 
+/// Metric ids follow `subsystem.noun.verb`: three or more '.'-separated
+/// [a-z0-9_]+ segments, e.g. "selection.oracle.calls", so dashboards, the
+/// report diff tool and the OpenMetrics exposition can group series by
+/// layer and entity without a hand-kept mapping. The FRESHSEL_OBS_* macros
+/// check their literal at compile time (obs/macros.h); MetricsRegistry
+/// checks every name at registration.
+constexpr bool IsValidMetricName(std::string_view name) {
+  return DottedNameSegments(name) >= 3;
+}
+
 /// Process-wide registry of named metrics. Lookup takes a mutex once per
 /// call site (call sites cache the returned reference, see
 /// FRESHSEL_OBS_COUNT in obs/macros.h); the metric fast paths are
@@ -156,6 +166,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  /// The Get* calls FRESHSEL_CHECK IsValidMetricName(name).
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
   /// Histogram with the default latency bounds. When the name already
@@ -204,5 +215,3 @@ class ScopedLatencyTimer {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_METRICS_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_OBS_H_
-#define FRESHSEL_OBS_OBS_H_
+#pragma once
 
 /// Umbrella header for the observability layer (DESIGN.md §9, §14):
 /// metrics registry, trace spans, run reports, the per-run decision log,
@@ -13,5 +12,3 @@
 #include "obs/report.h"        // IWYU pragma: export
 #include "obs/timer.h"         // IWYU pragma: export
 #include "obs/trace.h"         // IWYU pragma: export
-
-#endif  // FRESHSEL_OBS_OBS_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_REPORT_H_
-#define FRESHSEL_OBS_REPORT_H_
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -89,5 +88,3 @@ struct RunReport {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_REPORT_H_

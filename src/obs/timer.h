@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_TIMER_H_
-#define FRESHSEL_OBS_TIMER_H_
+#pragma once
 
 #include <cstdint>
 
@@ -27,5 +26,3 @@ class WallTimer {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_TIMER_H_

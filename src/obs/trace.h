@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_OBS_TRACE_H_
-#define FRESHSEL_OBS_TRACE_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -87,5 +86,3 @@ class TraceSpan {
 };
 
 }  // namespace freshsel::obs
-
-#endif  // FRESHSEL_OBS_TRACE_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_ALGORITHMS_H_
-#define FRESHSEL_SELECTION_ALGORITHMS_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -175,5 +174,3 @@ double GraspLocalSearch(const ProfitFunction& oracle,
 }  // namespace internal
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_ALGORITHMS_H_

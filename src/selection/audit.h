@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_AUDIT_H_
-#define FRESHSEL_SELECTION_AUDIT_H_
+#pragma once
 
 #include <cstdint>
 #include <utility>
@@ -124,5 +123,3 @@ struct RunnerUpTracker {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_AUDIT_H_

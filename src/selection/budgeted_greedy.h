@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_BUDGETED_GREEDY_H_
-#define FRESHSEL_SELECTION_BUDGETED_GREEDY_H_
+#pragma once
 
 #include "selection/algorithms.h"
 
@@ -35,5 +34,3 @@ SelectionResult BudgetedGreedy(const GainCostFunction& oracle,
                                const BudgetedGreedyOptions& options = {});
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_BUDGETED_GREEDY_H_

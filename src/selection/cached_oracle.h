@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_CACHED_ORACLE_H_
-#define FRESHSEL_SELECTION_CACHED_ORACLE_H_
+#pragma once
 
 #include <atomic>
 #include <cstdint>
@@ -130,5 +129,3 @@ class CachedProfitOracle : public GainCostFunction {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_CACHED_ORACLE_H_

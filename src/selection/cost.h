@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_COST_H_
-#define FRESHSEL_SELECTION_COST_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -28,5 +27,3 @@ class CostModel {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_COST_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_FREQUENCY_SELECTION_H_
-#define FRESHSEL_SELECTION_FREQUENCY_SELECTION_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -39,5 +38,3 @@ Result<AugmentedUniverse> BuildAugmentedUniverse(
     const std::vector<double>& base_costs, std::int64_t max_divisor);
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_FREQUENCY_SELECTION_H_

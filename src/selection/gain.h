@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_GAIN_H_
-#define FRESHSEL_SELECTION_GAIN_H_
+#pragma once
 
 #include "estimation/quality_estimator.h"
 
@@ -67,5 +66,3 @@ class GainModel {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_GAIN_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_GREEDY_ROUNDS_H_
-#define FRESHSEL_SELECTION_GREEDY_ROUNDS_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -56,5 +55,3 @@ Rounds CostBenefitRounds(const GainCostFunction& oracle,
                          const GreedyOptions& options);
 
 }  // namespace freshsel::selection::internal
-
-#endif  // FRESHSEL_SELECTION_GREEDY_ROUNDS_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_MATROID_H_
-#define FRESHSEL_SELECTION_MATROID_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -52,5 +51,3 @@ class PartitionMatroid {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_MATROID_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_ONLINE_SELECTOR_H_
-#define FRESHSEL_SELECTION_ONLINE_SELECTOR_H_
+#pragma once
 
 #include <cstdint>
 #include <limits>
@@ -83,5 +82,3 @@ class OnlineSelector {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_ONLINE_SELECTOR_H_

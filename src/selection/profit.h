@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_PROFIT_H_
-#define FRESHSEL_SELECTION_PROFIT_H_
+#pragma once
 
 #include <atomic>
 #include <cstdint>
@@ -244,5 +243,3 @@ class ProfitOracle : public GainCostFunction {
 };
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_PROFIT_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_SELECTOR_H_
-#define FRESHSEL_SELECTION_SELECTOR_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -68,5 +67,3 @@ Result<SelectionResult> SelectSources(const ProfitFunction& oracle,
                                           nullptr);
 
 }  // namespace freshsel::selection
-
-#endif  // FRESHSEL_SELECTION_SELECTOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SELECTION_SET_UTIL_H_
-#define FRESHSEL_SELECTION_SET_UTIL_H_
+#pragma once
 
 #include <algorithm>
 #include <cmath>
@@ -95,5 +94,3 @@ inline std::vector<SourceHandle> Complement(
 }
 
 }  // namespace freshsel::selection::internal
-
-#endif  // FRESHSEL_SELECTION_SET_UTIL_H_

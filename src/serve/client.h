@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SERVE_CLIENT_H_
-#define FRESHSEL_SERVE_CLIENT_H_
+#pragma once
 
 #include <string>
 #include <string_view>
@@ -43,5 +42,3 @@ class Client {
 };
 
 }  // namespace freshsel::serve
-
-#endif  // FRESHSEL_SERVE_CLIENT_H_

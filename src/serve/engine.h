@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SERVE_ENGINE_H_
-#define FRESHSEL_SERVE_ENGINE_H_
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -178,5 +177,3 @@ class Engine {
 };
 
 }  // namespace freshsel::serve
-
-#endif  // FRESHSEL_SERVE_ENGINE_H_

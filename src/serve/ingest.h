@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SERVE_INGEST_H_
-#define FRESHSEL_SERVE_INGEST_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -72,5 +71,3 @@ Result<ResidentScenario> IngestScenario(const std::string& name,
                                         const IngestOptions& options);
 
 }  // namespace freshsel::serve
-
-#endif  // FRESHSEL_SERVE_INGEST_H_

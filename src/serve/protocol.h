@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SERVE_PROTOCOL_H_
-#define FRESHSEL_SERVE_PROTOCOL_H_
+#pragma once
 
 #include <algorithm>
 #include <cstddef>
@@ -276,5 +275,3 @@ StatusCode StatusCodeFromWireName(std::string_view name);
 Status StatusFromWire(std::string_view code, const std::string& message);
 
 }  // namespace freshsel::serve
-
-#endif  // FRESHSEL_SERVE_PROTOCOL_H_

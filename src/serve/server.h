@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SERVE_SERVER_H_
-#define FRESHSEL_SERVE_SERVER_H_
+#pragma once
 
 #include <atomic>
 #include <cstddef>
@@ -170,5 +169,3 @@ class Server {
 };
 
 }  // namespace freshsel::serve
-
-#endif  // FRESHSEL_SERVE_SERVER_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SOURCE_SCHEDULE_H_
-#define FRESHSEL_SOURCE_SCHEDULE_H_
+#pragma once
 
 #include <cstdint>
 
@@ -50,5 +49,3 @@ struct UpdateSchedule {
 };
 
 }  // namespace freshsel::source
-
-#endif  // FRESHSEL_SOURCE_SCHEDULE_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SOURCE_SOURCE_HISTORY_H_
-#define FRESHSEL_SOURCE_SOURCE_HISTORY_H_
+#pragma once
 
 #include <cstdint>
 #include <utility>
@@ -95,5 +94,3 @@ class SourceHistory {
 };
 
 }  // namespace freshsel::source
-
-#endif  // FRESHSEL_SOURCE_SOURCE_HISTORY_H_

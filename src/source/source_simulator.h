@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SOURCE_SOURCE_SIMULATOR_H_
-#define FRESHSEL_SOURCE_SOURCE_SIMULATOR_H_
+#pragma once
 
 #include <vector>
 
@@ -43,5 +42,3 @@ Result<std::vector<SourceHistory>> SimulateSources(
     Rng& rng);
 
 }  // namespace freshsel::source
-
-#endif  // FRESHSEL_SOURCE_SOURCE_SIMULATOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_SOURCE_SOURCE_SPEC_H_
-#define FRESHSEL_SOURCE_SOURCE_SPEC_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -47,5 +46,3 @@ struct SourceSpec {
 };
 
 }  // namespace freshsel::source
-
-#endif  // FRESHSEL_SOURCE_SOURCE_SPEC_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_DESCRIPTIVE_H_
-#define FRESHSEL_STATS_DESCRIPTIVE_H_
+#pragma once
 
 #include <cstddef>
 #include <vector>
@@ -49,5 +48,3 @@ class RunningStats {
 };
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_DESCRIPTIVE_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_EXPONENTIAL_H_
-#define FRESHSEL_STATS_EXPONENTIAL_H_
+#pragma once
 
 #include <vector>
 
@@ -55,5 +54,3 @@ Result<double> ExponentialKsDistance(const std::vector<double>& durations,
                                      double rate);
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_EXPONENTIAL_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_HISTOGRAM_H_
-#define FRESHSEL_STATS_HISTOGRAM_H_
+#pragma once
 
 #include <cstddef>
 #include <cstdint>
@@ -76,5 +75,3 @@ class CountHistogram {
 };
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_HISTOGRAM_H_

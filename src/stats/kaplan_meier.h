@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_KAPLAN_MEIER_H_
-#define FRESHSEL_STATS_KAPLAN_MEIER_H_
+#pragma once
 
 #include <cstddef>
 #include <vector>
@@ -69,5 +68,3 @@ class KaplanMeierEstimator {
 };
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_KAPLAN_MEIER_H_

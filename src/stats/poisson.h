@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_POISSON_H_
-#define FRESHSEL_STATS_POISSON_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -57,5 +56,3 @@ Result<ChiSquareResult> PoissonChiSquare(const CountHistogram& observed,
                                          int fitted_params = 1);
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_POISSON_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_STEP_FUNCTION_H_
-#define FRESHSEL_STATS_STEP_FUNCTION_H_
+#pragma once
 
 #include <utility>
 #include <vector>
@@ -46,5 +45,3 @@ class StepFunction {
 };
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_STEP_FUNCTION_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_STATS_WEIBULL_H_
-#define FRESHSEL_STATS_WEIBULL_H_
+#pragma once
 
 #include <vector>
 
@@ -48,5 +47,3 @@ double WeibullCensoredLogLikelihood(
     double scale);
 
 }  // namespace freshsel::stats
-
-#endif  // FRESHSEL_STATS_WEIBULL_H_

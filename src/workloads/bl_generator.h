@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORKLOADS_BL_GENERATOR_H_
-#define FRESHSEL_WORKLOADS_BL_GENERATOR_H_
+#pragma once
 
 #include <cstdint>
 
@@ -42,5 +41,3 @@ struct BlConfig {
 Result<Scenario> GenerateBlScenario(const BlConfig& config);
 
 }  // namespace freshsel::workloads
-
-#endif  // FRESHSEL_WORKLOADS_BL_GENERATOR_H_

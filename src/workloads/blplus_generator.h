@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORKLOADS_BLPLUS_GENERATOR_H_
-#define FRESHSEL_WORKLOADS_BLPLUS_GENERATOR_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -29,5 +28,3 @@ Result<MicroRoster> GenerateBlPlusRoster(const Scenario& base,
                                          std::uint64_t seed);
 
 }  // namespace freshsel::workloads
-
-#endif  // FRESHSEL_WORKLOADS_BLPLUS_GENERATOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORKLOADS_GDELT_GENERATOR_H_
-#define FRESHSEL_WORKLOADS_GDELT_GENERATOR_H_
+#pragma once
 
 #include <cstdint>
 
@@ -31,5 +30,3 @@ struct GdeltConfig {
 Result<Scenario> GenerateGdeltScenario(const GdeltConfig& config);
 
 }  // namespace freshsel::workloads
-
-#endif  // FRESHSEL_WORKLOADS_GDELT_GENERATOR_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORKLOADS_SCENARIO_H_
-#define FRESHSEL_WORKLOADS_SCENARIO_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -41,5 +40,3 @@ struct Scenario {
 };
 
 }  // namespace freshsel::workloads
-
-#endif  // FRESHSEL_WORKLOADS_SCENARIO_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORKLOADS_SLICE_ROSTER_H_
-#define FRESHSEL_WORKLOADS_SLICE_ROSTER_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -31,5 +30,3 @@ Result<SliceRoster> BuildSliceRoster(const Scenario& base,
                                      SliceDimension dimension);
 
 }  // namespace freshsel::workloads
-
-#endif  // FRESHSEL_WORKLOADS_SLICE_ROSTER_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORLD_DOMAIN_H_
-#define FRESHSEL_WORLD_DOMAIN_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -64,5 +63,3 @@ class DataDomain {
 };
 
 }  // namespace freshsel::world
-
-#endif  // FRESHSEL_WORLD_DOMAIN_H_

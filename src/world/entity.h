@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORLD_ENTITY_H_
-#define FRESHSEL_WORLD_ENTITY_H_
+#pragma once
 
 #include <cstdint>
 #include <limits>
@@ -56,5 +55,3 @@ struct EntityRecord {
 };
 
 }  // namespace freshsel::world
-
-#endif  // FRESHSEL_WORLD_ENTITY_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORLD_WORLD_H_
-#define FRESHSEL_WORLD_WORLD_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -81,5 +80,3 @@ class World {
 };
 
 }  // namespace freshsel::world
-
-#endif  // FRESHSEL_WORLD_WORLD_H_

@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_WORLD_WORLD_SIMULATOR_H_
-#define FRESHSEL_WORLD_WORLD_SIMULATOR_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -47,5 +46,3 @@ struct WorldSpec {
 Result<World> SimulateWorld(const WorldSpec& spec, Rng& rng);
 
 }  // namespace freshsel::world
-
-#endif  // FRESHSEL_WORLD_WORLD_SIMULATOR_H_

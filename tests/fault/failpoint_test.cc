@@ -1,9 +1,12 @@
 #include "fault/failpoint.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -11,6 +14,33 @@
 
 namespace freshsel::fault {
 namespace {
+
+// The subsystem.site grammar that FRESHSEL_FAILPOINT* enforce at compile
+// time and ArmFromSpec at run time.
+constexpr std::string_view kWellFormedNames[] = {
+    "io.read",       "io.write", "serve.query",    "serve.ingest",
+    "serve.prepare", "a.b.c",    "t.prob_extreme", "x9.y_0",
+};
+constexpr std::string_view kMalformedNames[] = {
+    "",         "io",       "BadName",   "serve.Query", "io.read.",
+    ".io.read", "io..read", "io.read-x", "io read",     "t.prob-extreme",
+};
+static_assert(std::all_of(std::begin(kWellFormedNames),
+                          std::end(kWellFormedNames), IsValidFailpointName));
+static_assert(std::none_of(std::begin(kMalformedNames),
+                           std::end(kMalformedNames), IsValidFailpointName));
+
+TEST(FailpointNameTest, AcceptsWellFormedNames) {
+  for (std::string_view name : kWellFormedNames) {
+    EXPECT_TRUE(IsValidFailpointName(name)) << name;
+  }
+}
+
+TEST(FailpointNameTest, RejectsMalformedNames) {
+  for (std::string_view name : kMalformedNames) {
+    EXPECT_FALSE(IsValidFailpointName(name)) << name;
+  }
+}
 
 // Each test uses its own failpoint names: the registry is process-wide and
 // registrations are permanent, so sharing names across tests would leak
@@ -29,7 +59,7 @@ TEST(FailpointTest, GetReturnsStableReference) {
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.name(), "t.stable");
   EXPECT_EQ(FailpointRegistry::Global().Lookup("t.stable"), &a);
-  EXPECT_EQ(FailpointRegistry::Global().Lookup("t.never-created"), nullptr);
+  EXPECT_EQ(FailpointRegistry::Global().Lookup("t.never_created"), nullptr);
 }
 
 TEST(FailpointTest, AlwaysFiresEveryHit) {
@@ -87,7 +117,7 @@ TEST(FailpointTest, ProbabilityIsDeterministicPerSeed) {
 }
 
 TEST(FailpointTest, ProbabilityExtremes) {
-  Failpoint& point = FailpointRegistry::Global().Get("t.prob-extreme");
+  Failpoint& point = FailpointRegistry::Global().Get("t.prob_extreme");
   point.Arm(TriggerSpec::Probability(0.0, 1));
   for (int i = 0; i < 20; ++i) EXPECT_FALSE(point.ShouldFail());
   point.Arm(TriggerSpec::Probability(1.0, 1));
@@ -108,7 +138,7 @@ TEST(FailpointTest, RearmingResetsAccounting) {
 }
 
 TEST(FailpointTest, ArmWithDisarmedSpecDisarms) {
-  Failpoint& point = FailpointRegistry::Global().Get("t.arm-disarm");
+  Failpoint& point = FailpointRegistry::Global().Get("t.arm_disarm");
   point.Arm(TriggerSpec::Always());
   point.Arm(TriggerSpec{});
   EXPECT_FALSE(point.ShouldFail());
@@ -161,31 +191,40 @@ TEST(FailpointRegistryTest, ArmFromSpecGrammar) {
 
 TEST(FailpointRegistryTest, ArmFromSpecOffDisarms) {
   FailpointRegistry registry;
-  ASSERT_TRUE(registry.ArmFromSpec("p=always").ok());
-  EXPECT_TRUE(registry.Lookup("p")->ShouldFail());
-  ASSERT_TRUE(registry.ArmFromSpec("p=off").ok());
-  EXPECT_FALSE(registry.Lookup("p")->ShouldFail());
+  ASSERT_TRUE(registry.ArmFromSpec("t.toggle=always").ok());
+  EXPECT_TRUE(registry.Lookup("t.toggle")->ShouldFail());
+  ASSERT_TRUE(registry.ArmFromSpec("t.toggle=off").ok());
+  EXPECT_FALSE(registry.Lookup("t.toggle")->ShouldFail());
 }
 
 TEST(FailpointRegistryTest, BadSpecsRejectedWithoutPartialArming) {
   FailpointRegistry registry;
   // The first clause is valid, the second is not: nothing may be armed.
-  EXPECT_EQ(registry.ArmFromSpec("good=always;bad=wat").code(),
+  EXPECT_EQ(registry.ArmFromSpec("t.good=always;t.bad=wat").code(),
             StatusCode::kInvalidArgument);
-  Failpoint* good = registry.Lookup("good");
+  Failpoint* good = registry.Lookup("t.good");
   EXPECT_TRUE(good == nullptr || !good->ShouldFail());
 
   EXPECT_FALSE(registry.ArmFromSpec("=always").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("name=").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("name").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=nth").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=nth:0").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=nth:abc").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=prob").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=prob:1.5").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=prob:0.5:x").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=always:1").ok());
-  EXPECT_FALSE(registry.ArmFromSpec("n=off:1").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.name=").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.name").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=nth").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=nth:0").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=nth:abc").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=prob").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=prob:1.5").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=prob:0.5:x").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=always:1").ok());
+  EXPECT_FALSE(registry.ArmFromSpec("t.n=off:1").ok());
+
+  // A name no FRESHSEL_FAILPOINT site can carry is refused, not armed.
+  for (const char* spec : {"Foo=always", "foo=always",
+                           "t.good=always;io..read=once",
+                           "t.good=always;t.Bad=once"}) {
+    EXPECT_EQ(registry.ArmFromSpec(spec).code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
+  EXPECT_TRUE(registry.Snapshot().empty());
 }
 
 TEST(FailpointRegistryTest, EmptySpecIsNoOp) {
@@ -197,14 +236,14 @@ TEST(FailpointRegistryTest, EmptySpecIsNoOp) {
 
 TEST(FailpointRegistryTest, SnapshotSortedAndTotalFires) {
   FailpointRegistry registry;
-  ASSERT_TRUE(registry.ArmFromSpec("zz=always;aa=always").ok());
-  registry.Get("zz").ShouldFail();
-  registry.Get("zz").ShouldFail();
-  registry.Get("aa").ShouldFail();
+  ASSERT_TRUE(registry.ArmFromSpec("t.zz=always;t.aa=always").ok());
+  registry.Get("t.zz").ShouldFail();
+  registry.Get("t.zz").ShouldFail();
+  registry.Get("t.aa").ShouldFail();
   const std::vector<FailpointRegistry::Entry> entries = registry.Snapshot();
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].name, "aa");
-  EXPECT_EQ(entries[1].name, "zz");
+  EXPECT_EQ(entries[0].name, "t.aa");
+  EXPECT_EQ(entries[1].name, "t.zz");
   EXPECT_EQ(entries[0].state.fires, 1u);
   EXPECT_EQ(entries[1].state.fires, 2u);
   EXPECT_EQ(registry.TotalFires(), 3u);
@@ -212,10 +251,10 @@ TEST(FailpointRegistryTest, SnapshotSortedAndTotalFires) {
 
 TEST(FailpointRegistryTest, DisarmAllStopsEveryPoint) {
   FailpointRegistry registry;
-  ASSERT_TRUE(registry.ArmFromSpec("x=always;y=nth:1").ok());
+  ASSERT_TRUE(registry.ArmFromSpec("t.x=always;t.y=nth:1").ok());
   registry.DisarmAll();
-  EXPECT_FALSE(registry.Get("x").ShouldFail());
-  EXPECT_FALSE(registry.Get("y").ShouldFail());
+  EXPECT_FALSE(registry.Get("t.x").ShouldFail());
+  EXPECT_FALSE(registry.Get("t.y").ShouldFail());
 }
 
 TEST(FailpointRegistryTest, ArmFromEnvReadsVariable) {

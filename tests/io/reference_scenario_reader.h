@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_TESTS_IO_REFERENCE_SCENARIO_READER_H_
-#define FRESHSEL_TESTS_IO_REFERENCE_SCENARIO_READER_H_
+#pragma once
 
 #include <string>
 
@@ -17,5 +16,3 @@ Result<source::SourceHistory> ReferenceReadSourceHistoryCsv(
     const std::string& path);
 
 }  // namespace freshsel::io
-
-#endif  // FRESHSEL_TESTS_IO_REFERENCE_SCENARIO_READER_H_

@@ -1,8 +1,11 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -129,37 +132,87 @@ TEST(HistogramTest, DefaultLatencyBoundsAscending) {
   EXPECT_GE(bounds.back(), 10.0);   // And whole-run scale ones.
 }
 
+// The subsystem.noun.verb grammar that FRESHSEL_OBS_* enforce at compile
+// time and MetricsRegistry at registration.
+constexpr std::string_view kWellFormedNames[] = {
+    "io.retry.attempts",
+    "stage.select.seconds",
+    "selection.oracle.calls",
+    "serve.queries.executed",
+    "serve.requests.refused_draining",
+    "serve.query.latency",
+    "fault.failpoints.injected",
+    "a.b.c.d",
+};
+constexpr std::string_view kMalformedNames[] = {
+    "",
+    "io.retries",
+    "serve.queries",
+    "Selection.pool.size",
+    "selection.Oracle.calls",
+    "a.b.",
+    ".a.b.c",
+    "a..b.c",
+    "a.b-c.d",
+    "a b.c.d",
+};
+static_assert(std::all_of(std::begin(kWellFormedNames),
+                          std::end(kWellFormedNames), IsValidMetricName));
+static_assert(std::none_of(std::begin(kMalformedNames),
+                           std::end(kMalformedNames), IsValidMetricName));
+
+TEST(MetricNameTest, AcceptsWellFormedNames) {
+  for (std::string_view name : kWellFormedNames) {
+    EXPECT_TRUE(IsValidMetricName(name)) << name;
+  }
+}
+
+TEST(MetricNameTest, RejectsMalformedNames) {
+  for (std::string_view name : kMalformedNames) {
+    EXPECT_FALSE(IsValidMetricName(name)) << name;
+  }
+}
+
+TEST(MetricNameDeathTest, RegistrationChecksTheName) {
+  MetricsRegistry registry;
+  EXPECT_DEATH(registry.GetCounter("io.retries"), "subsystem.noun.verb");
+  EXPECT_DEATH(registry.GetGauge("Selection.pool.size"),
+               "subsystem.noun.verb");
+  EXPECT_DEATH(registry.GetHistogram("a..b.c"), "subsystem.noun.verb");
+}
+
 TEST(RegistryTest, SameNameSameInstance) {
   MetricsRegistry registry;
-  Counter& a = registry.GetCounter("x");
-  Counter& b = registry.GetCounter("x");
+  Counter& a = registry.GetCounter("test.same.counter");
+  Counter& b = registry.GetCounter("test.same.counter");
   EXPECT_EQ(&a, &b);
-  Histogram& h1 = registry.GetHistogram("h");
-  Histogram& h2 = registry.GetHistogram("h", {1.0, 2.0});  // Name wins.
+  Histogram& h1 = registry.GetHistogram("test.same.histogram");
+  // Name wins.
+  Histogram& h2 = registry.GetHistogram("test.same.histogram", {1.0, 2.0});
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h1.bounds(), Histogram::DefaultLatencyBounds());
 }
 
 TEST(RegistryTest, SnapshotAndResetAll) {
   MetricsRegistry registry;
-  Counter& counter = registry.GetCounter("events");
+  Counter& counter = registry.GetCounter("test.events.counted");
   counter.Add(7);
-  registry.GetGauge("width").Set(2.0);
-  registry.GetHistogram("lat").Record(0.5);
+  registry.GetGauge("test.pool.width").Set(2.0);
+  registry.GetHistogram("test.stage.latency").Record(0.5);
 
   MetricsSnapshot snapshot = registry.TakeSnapshot();
-  EXPECT_EQ(snapshot.counters.at("events"), 7u);
-  EXPECT_EQ(snapshot.gauges.at("width"), 2.0);
-  EXPECT_EQ(snapshot.histograms.at("lat").count, 1u);
+  EXPECT_EQ(snapshot.counters.at("test.events.counted"), 7u);
+  EXPECT_EQ(snapshot.gauges.at("test.pool.width"), 2.0);
+  EXPECT_EQ(snapshot.histograms.at("test.stage.latency").count, 1u);
 
   registry.ResetAll();
   snapshot = registry.TakeSnapshot();
   // Registrations survive (cached references stay valid), values zero.
-  EXPECT_EQ(snapshot.counters.at("events"), 0u);
-  EXPECT_EQ(snapshot.gauges.at("width"), 0.0);
-  EXPECT_EQ(snapshot.histograms.at("lat").count, 0u);
+  EXPECT_EQ(snapshot.counters.at("test.events.counted"), 0u);
+  EXPECT_EQ(snapshot.gauges.at("test.pool.width"), 0.0);
+  EXPECT_EQ(snapshot.histograms.at("test.stage.latency").count, 0u);
   counter.Add();  // The old reference still works.
-  EXPECT_EQ(registry.TakeSnapshot().counters.at("events"), 1u);
+  EXPECT_EQ(registry.TakeSnapshot().counters.at("test.events.counted"), 1u);
 }
 
 TEST(RegistryTest, ConcurrentRegistrationAndUse) {
@@ -167,9 +220,11 @@ TEST(RegistryTest, ConcurrentRegistrationAndUse) {
   ThreadPool pool(4);
   std::vector<std::string> counter_names;
   std::vector<std::string> histogram_names;
-  for (int i = 0; i < 7; ++i) counter_names.push_back("c" + std::to_string(i));
+  for (int i = 0; i < 7; ++i) {
+    counter_names.push_back("test.counter.c" + std::to_string(i));
+  }
   for (int i = 0; i < 3; ++i) {
-    histogram_names.push_back("h" + std::to_string(i));
+    histogram_names.push_back("test.histogram.h" + std::to_string(i));
   }
   pool.ParallelFor(1000, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -188,20 +243,20 @@ TEST(RegistryTest, ConcurrentRegistrationAndUse) {
 
 TEST(SnapshotTest, JsonAndTextShapes) {
   MetricsRegistry registry;
-  registry.GetCounter("a.count").Add(3);
-  registry.GetGauge("b.gauge").Set(1.5);
-  registry.GetHistogram("c.lat", {1.0}).Record(0.5);
+  registry.GetCounter("snapshot_test.a.count").Add(3);
+  registry.GetGauge("snapshot_test.b.gauge").Set(1.5);
+  registry.GetHistogram("snapshot_test.c.lat", {1.0}).Record(0.5);
   const MetricsSnapshot snapshot = registry.TakeSnapshot();
 
   const std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a.count\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"snapshot_test.a.count\":3"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"c.lat\""), std::string::npos);
+  EXPECT_NE(json.find("\"snapshot_test.c.lat\""), std::string::npos);
 
   const std::string text = snapshot.ToText();
-  EXPECT_NE(text.find("a.count"), std::string::npos);
+  EXPECT_NE(text.find("snapshot_test.a.count"), std::string::npos);
   EXPECT_NE(text.find("3"), std::string::npos);
 }
 

@@ -48,12 +48,12 @@ TEST(RunReportTest, StagesPreserveExecutionOrder) {
 }
 
 TEST(RunReportTest, CaptureGlobalMetricsFoldsRegistry) {
-  MetricsRegistry::Global().GetCounter("report_test.captured").Add(9);
+  MetricsRegistry::Global().GetCounter("report_test.counter.captured").Add(9);
   RunReport report;
   report.CaptureGlobalMetrics();
-  EXPECT_GE(report.metrics.counters.at("report_test.captured"), 9u);
+  EXPECT_GE(report.metrics.counters.at("report_test.counter.captured"), 9u);
   const std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"report_test.captured\""), std::string::npos);
+  EXPECT_NE(json.find("\"report_test.counter.captured\""), std::string::npos);
 }
 
 TEST(RunReportTest, WriteJsonFileRoundTrip) {

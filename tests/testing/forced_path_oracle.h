@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_TESTS_TESTING_FORCED_PATH_ORACLE_H_
-#define FRESHSEL_TESTS_TESTING_FORCED_PATH_ORACLE_H_
+#pragma once
 
 #include <cstdint>
 #include <memory>
@@ -118,5 +117,3 @@ class ForcedPathOracle final : public selection::GainCostFunction {
 };
 
 }  // namespace freshsel::testing
-
-#endif  // FRESHSEL_TESTS_TESTING_FORCED_PATH_ORACLE_H_

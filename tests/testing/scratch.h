@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_TESTS_TESTING_SCRATCH_H_
-#define FRESHSEL_TESTS_TESTING_SCRATCH_H_
+#pragma once
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -77,5 +76,3 @@ inline std::string UniqueSocketPath() {
 inline void CleanupSocket(const std::string& path) { ::unlink(path.c_str()); }
 
 }  // namespace freshsel::testing
-
-#endif  // FRESHSEL_TESTS_TESTING_SCRATCH_H_

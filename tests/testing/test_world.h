@@ -1,5 +1,4 @@
-#ifndef FRESHSEL_TESTS_TESTING_TEST_WORLD_H_
-#define FRESHSEL_TESTS_TESTING_TEST_WORLD_H_
+#pragma once
 
 #include <cstdint>
 #include <utility>
@@ -79,5 +78,3 @@ inline source::SourceHistory MakeTestSource(const world::World& w,
 }
 
 }  // namespace freshsel::testing
-
-#endif  // FRESHSEL_TESTS_TESTING_TEST_WORLD_H_
