@@ -1,18 +1,27 @@
 // Microbenchmarks + ablations for the quality-estimation kernel: oracle-call
 // latency vs set size and horizon, memoized vs ad-hoc factor tables, signature
 // union width, and the estimator model variants called out in DESIGN.md.
+// BM_ReadScenarioDir times the scenario-ingest layer in front of them.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/bit_vector.h"
+#include "common/check.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "estimation/quality_estimator.h"
 #include "harness/learned_scenario.h"
+#include "io/scenario_io.h"
+#include "serve/ingest.h"
 #include "workloads/bl_generator.h"
 
 namespace freshsel {
@@ -301,6 +310,57 @@ void BM_LearnSourceProfile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LearnSourceProfile);
+
+/// The default BL panel (the one perfbench serves) written once per process
+/// in the `freshsel simulate` layout, removed at exit.
+struct PanelDir {
+  std::string path;
+  std::uint64_t bytes = 0;
+  std::uint64_t records = 0;
+
+  PanelDir() {
+    const workloads::Scenario scenario =
+        workloads::GenerateBlScenario(workloads::BlConfig()).value();
+    path = (std::filesystem::temp_directory_path() /
+            ("freshsel_bm_read_" + std::to_string(::getpid())))
+               .string();
+    std::filesystem::create_directories(path);
+    FRESHSEL_CHECK(
+        io::WriteWorldCsv(scenario.world, path + "/world.csv").ok());
+    for (std::size_t i = 0; i < scenario.sources.size(); ++i) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "/source_%03zu.csv", i);
+      FRESHSEL_CHECK(
+          io::WriteSourceHistoryCsv(scenario.sources[i], path + name).ok());
+      records += scenario.sources[i].records().size();
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      bytes += entry.file_size();
+    }
+  }
+  ~PanelDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+void BM_ReadScenarioDir(benchmark::State& state) {
+  static const PanelDir panel;
+  const fault::RetryPolicy retry;
+  for (auto _ : state) {
+    Result<serve::ScenarioDirData> data =
+        serve::ReadScenarioDir(panel.path, retry);
+    FRESHSEL_CHECK(data.ok());
+    benchmark::DoNotOptimize(data);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(panel.bytes));
+  state.counters["records_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(panel.records),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReadScenarioDir)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace freshsel

@@ -31,10 +31,11 @@ double SourceProfile::Effectiveness(const stats::StepFunction& g, double t,
 
 namespace {
 
-/// Finds the capture day of world version `version` in `rec`, or kNever.
-TimePoint VersionCaptureDay(const source::CaptureRecord& rec,
+/// Finds the capture day of world version `version` in `captures`, or
+/// kNever.
+TimePoint VersionCaptureDay(source::CaptureRange captures,
                             std::uint32_t version) {
-  for (const auto& [v, day] : rec.version_captures) {
+  for (const auto& [v, day] : captures) {
     if (v == version) return day;
   }
   return world::kNever;
@@ -83,7 +84,7 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
   };
   for (const source::CaptureRecord& rec : history.records()) {
     bool seen_by_t0 = false;
-    for (const auto& [version, day] : rec.version_captures) {
+    for (const auto& [version, day] : history.captures(rec)) {
       if (day <= t0) {
         mark_day(day);
         seen_by_t0 = true;
@@ -157,11 +158,12 @@ Result<SourceProfile> LearnSourceProfile(const world::World& world,
 
       // Value-update delays: world updates within (0, t0] of mentioned
       // entities.
+      const source::CaptureRange captures = history.captures(*rec);
       std::uint32_t version = 0;
       for (TimePoint u : entity.update_times) {
         ++version;
         if (u <= 0 || u > t0) continue;
-        const TimePoint day = VersionCaptureDay(*rec, version);
+        const TimePoint day = VersionCaptureDay(captures, version);
         if (day != world::kNever && day <= t0) {
           km_update.Add(day - u, true);
         } else {

@@ -36,7 +36,7 @@ Result<ReconstructionResult> ReconstructWorld(
       ev.subdomain = rec.subdomain;
       ev.mentions += 1;
       ev.first_mention = std::min(ev.first_mention, rec.inserted);
-      for (const auto& [version, day] : rec.version_captures) {
+      for (const auto& [version, day] : history->captures(rec)) {
         auto [it, inserted] = ev.version_days.try_emplace(version, day);
         if (!inserted) it->second = std::min(it->second, day);
       }

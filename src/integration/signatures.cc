@@ -14,7 +14,8 @@ SourceSignatures BuildSignatures(const world::World& world,
     const world::EntityRecord& entity = world.entity(rec.entity);
     if (!entity.ExistsAt(t)) continue;  // Non-deleted ghost.
     sig.cov.Set(rec.entity);
-    if (rec.KnownVersionAt(t) == entity.VersionAt(t)) {
+    if (source::KnownVersionAt(history.captures(rec), t) ==
+        entity.VersionAt(t)) {
       sig.up.Set(rec.entity);
     }
   }

@@ -48,7 +48,7 @@ IntegratedSnapshot IntegrateAt(
         // Displayed version and the day the source learned it.
         std::uint32_t version = 0;
         TimePoint version_day = rec.inserted;
-        for (const auto& [v, day] : rec.version_captures) {
+        for (const auto& [v, day] : history->captures(rec)) {
           if (day > t) break;
           if (v >= version) {
             version = v;

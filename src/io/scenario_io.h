@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
@@ -32,7 +33,8 @@ namespace freshsel::io {
 Status WriteWorldCsv(const world::World& world, const std::string& path);
 
 /// Reads a world written by WriteWorldCsv. The returned world is
-/// finalized. Returns IoError / InvalidArgument on malformed input.
+/// finalized. Returns IoError / InvalidArgument on malformed input,
+/// including a negative horizon or a dimension size outside 32 bits.
 Result<world::World> ReadWorldCsv(const std::string& path);
 
 /// Writes `history` to `path` (spec capture parameters other than the
@@ -41,7 +43,9 @@ Result<world::World> ReadWorldCsv(const std::string& path);
 Status WriteSourceHistoryCsv(const source::SourceHistory& history,
                              const std::string& path);
 
-/// Reads a source history written by WriteSourceHistoryCsv.
+/// Reads a source history written by WriteSourceHistoryCsv. Returns
+/// InvalidArgument on malformed input, including an entity count outside
+/// world::EntityId.
 Result<source::SourceHistory> ReadSourceHistoryCsv(const std::string& path);
 
 /// Retrying variants for flaky storage (see DESIGN.md §11): the plain
@@ -49,10 +53,13 @@ Result<source::SourceHistory> ReadSourceHistoryCsv(const std::string& path);
 /// and these wrappers drive them through `retry` — transient failures
 /// (IoError, Unavailable) are reattempted under the policy's capped
 /// exponential backoff, each retry bumping the obs counter `io.retry.attempts`.
+/// The source reader also refuses a file whose entity count is not
+/// `world_entity_count`, before it sizes the history's entity index.
 Result<world::World> ReadWorldCsv(const std::string& path,
                                   const fault::RetryPolicy& retry);
 Result<source::SourceHistory> ReadSourceHistoryCsv(
-    const std::string& path, const fault::RetryPolicy& retry);
+    const std::string& path, std::size_t world_entity_count,
+    const fault::RetryPolicy& retry);
 Status WriteWorldCsv(const world::World& world, const std::string& path,
                      const fault::RetryPolicy& retry);
 Status WriteSourceHistoryCsv(const source::SourceHistory& history,

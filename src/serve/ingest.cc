@@ -39,8 +39,9 @@ Result<ScenarioDirData> ReadScenarioDir(const std::string& dir,
   std::vector<source::SourceHistory> sources;
   sources.reserve(source_files.size());
   for (const std::string& file : source_files) {
-    FRESHSEL_ASSIGN_OR_RETURN(source::SourceHistory history,
-                              io::ReadSourceHistoryCsv(file, retry));
+    FRESHSEL_ASSIGN_OR_RETURN(
+        source::SourceHistory history,
+        io::ReadSourceHistoryCsv(file, world.entity_count(), retry));
     sources.push_back(std::move(history));
   }
   // Optional manifest: its first line is "t0,<value>".

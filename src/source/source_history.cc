@@ -2,23 +2,54 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 namespace freshsel::source {
+
+// The captures live in the history's flat array, so a record is a fixed
+// 32 bytes with no heap block of its own.
+static_assert(sizeof(CaptureRecord) == 32);
 
 SourceHistory::SourceHistory(SourceSpec spec, std::size_t world_entity_count)
     : spec_(std::move(spec)), entity_index_(world_entity_count, -1) {}
 
-Status SourceHistory::AddRecord(CaptureRecord record) {
-  if (record.inserted == world::kNever) return Status::OK();
-  if (record.entity >= entity_index_.size()) {
-    return Status::InvalidArgument("entity id out of range");
+Status SourceHistory::AddRecord(const CaptureRecord& header,
+                                const std::vector<VersionCapture>& captures) {
+  captures_.insert(captures_.end(), captures.begin(), captures.end());
+  return CommitRecord(header);
+}
+
+Status SourceHistory::CommitRecord(const CaptureRecord& header) {
+  const std::size_t first = committed_captures();
+  auto refuse = [&](const char* message) {
+    captures_.resize(first);
+    return Status::InvalidArgument(message);
+  };
+  if (header.inserted == world::kNever) {
+    captures_.resize(first);
+    return Status::OK();
   }
-  if (entity_index_[record.entity] >= 0) {
-    return Status::InvalidArgument("duplicate capture record for entity");
+  if (header.entity >= entity_index_.size()) {
+    return refuse("entity id out of range");
   }
-  entity_index_[record.entity] = static_cast<std::int32_t>(records_.size());
-  records_.push_back(std::move(record));
+  if (entity_index_[header.entity] >= 0) {
+    return refuse("duplicate capture record for entity");
+  }
+  if (records_.size() >=
+          static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) ||
+      captures_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return refuse("too many capture records in one source");
+  }
+  entity_index_[header.entity] = static_cast<std::int32_t>(records_.size());
+  CaptureRecord& rec = records_.emplace_back(header);
+  rec.first_capture = static_cast<std::uint32_t>(first);
+  rec.capture_count = static_cast<std::uint32_t>(captures_.size() - first);
   return Status::OK();
+}
+
+void SourceHistory::Reserve(std::size_t records, std::size_t captures) {
+  records_.reserve(records);
+  captures_.reserve(captures);
 }
 
 const CaptureRecord* SourceHistory::Find(world::EntityId entity) const {
@@ -53,7 +84,10 @@ SourceHistory SourceHistory::RestrictedTo(
         subdomains.end()) {
       continue;
     }
-    Status status = out.AddRecord(rec);
+    const CaptureRange captures = this->captures(rec);
+    out.captures_.insert(out.captures_.end(), captures.begin(),
+                         captures.end());
+    Status status = out.CommitRecord(rec);
     (void)status;  // Ids are unique by construction.
   }
   return out;
@@ -74,23 +108,24 @@ SourceHistory SourceHistory::WithAcquisitionDivisor(
     aligned.entity = rec.entity;
     aligned.subdomain = rec.subdomain;
     aligned.deleted = realign(rec.deleted);
-    TimePoint earliest = world::kNever;
-    for (const auto& [version, day] : rec.version_captures) {
+    const std::size_t first = out.captures_.size();
+    for (const auto& [version, day] : captures(rec)) {
       const TimePoint new_day = realign(day);
       if (new_day >= aligned.deleted) continue;  // Deleted before acquired.
-      aligned.version_captures.emplace_back(version, new_day);
-      earliest = std::min(earliest, new_day);
+      out.AppendCapture(version, new_day);
     }
-    std::sort(aligned.version_captures.begin(),
-              aligned.version_captures.end(),
-              [](const auto& a, const auto& b) {
+    const auto pending = out.captures_.begin() +
+                         static_cast<std::ptrdiff_t>(first);
+    std::sort(pending, out.captures_.end(),
+              [](const VersionCapture& a, const VersionCapture& b) {
                 return a.second < b.second;
               });
-    aligned.inserted = earliest;
-    if (aligned.inserted == world::kNever) continue;  // Never acquired.
-    // AddRecord cannot fail here: ids are in range and unique by
+    // Never acquired when no capture survives: the commit drops the record.
+    aligned.inserted =
+        pending == out.captures_.end() ? world::kNever : pending->second;
+    // CommitRecord cannot fail here: ids are in range and unique by
     // construction.
-    Status status = out.AddRecord(std::move(aligned));
+    Status status = out.CommitRecord(aligned);
     (void)status;
   }
   return out;

@@ -75,6 +75,9 @@ Result<SourceHistory> SimulateSource(const world::World& world,
     return day > horizon ? world::kNever : day;
   };
 
+  // One scratch list for every record: AddRecord copies it into the
+  // history's flat capture array.
+  std::vector<VersionCapture> captures;
   for (world::SubdomainId sub : spec.scope) {
     for (world::EntityId id : world.EntitiesInSubdomain(sub)) {
       if (Obscurity(id) >= spec.visibility) continue;  // Too hard to find.
@@ -97,27 +100,27 @@ Result<SourceHistory> SimulateSource(const world::World& world,
       }
 
       // Value updates.
+      captures.clear();
       if (appear_capture != world::kNever &&
           appear_capture < record.deleted) {
-        record.version_captures.emplace_back(0, appear_capture);
+        captures.emplace_back(0, appear_capture);
       }
       std::uint32_t version = 0;
       for (TimePoint update_time : entity.update_times) {
         ++version;
         const TimePoint day = capture_day(update_time, spec.update_capture);
         if (day == world::kNever || day >= record.deleted) continue;
-        record.version_captures.emplace_back(version, day);
+        captures.emplace_back(version, day);
       }
-      if (record.version_captures.empty()) continue;  // Never in the source.
+      if (captures.empty()) continue;  // Never in the source.
 
-      std::sort(record.version_captures.begin(),
-                record.version_captures.end(),
+      std::sort(captures.begin(), captures.end(),
                 [](const auto& a, const auto& b) {
                   if (a.second != b.second) return a.second < b.second;
                   return a.first < b.first;
                 });
-      record.inserted = record.version_captures.front().second;
-      FRESHSEL_RETURN_IF_ERROR(history.AddRecord(std::move(record)));
+      record.inserted = captures.front().second;
+      FRESHSEL_RETURN_IF_ERROR(history.AddRecord(record, captures));
     }
   }
   return history;

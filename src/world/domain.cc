@@ -1,6 +1,7 @@
 #include "world/domain.h"
 
 #include <cstdint>
+#include <limits>
 
 namespace freshsel::world {
 
@@ -10,6 +11,11 @@ Result<DataDomain> DataDomain::Create(std::string dim1_name,
                                       std::uint32_t dim2_size) {
   if (dim1_size == 0 || dim2_size == 0) {
     return Status::InvalidArgument("domain dimensions must be positive");
+  }
+  if (std::uint64_t{dim1_size} * dim2_size >
+      std::numeric_limits<SubdomainId>::max()) {
+    return Status::InvalidArgument(
+        "domain has more subdomains than SubdomainId can index");
   }
   return DataDomain(std::move(dim1_name), dim1_size, std::move(dim2_name),
                     dim2_size);

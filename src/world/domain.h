@@ -20,7 +20,8 @@ using SubdomainId = std::uint32_t;
 /// subdomain and micro-sources cover subsets of subdomains.
 class DataDomain {
  public:
-  /// Returns InvalidArgument unless both dimension sizes are positive.
+  /// Returns InvalidArgument unless both dimension sizes are positive and
+  /// their product fits SubdomainId.
   static Result<DataDomain> Create(std::string dim1_name,
                                    std::uint32_t dim1_size,
                                    std::string dim2_name,

@@ -38,8 +38,7 @@ source::SourceHistory MakeSub3Source(const world::World& w) {
   rec.subdomain = 3;
   rec.inserted = 26;
   rec.deleted = world::kNever;
-  rec.version_captures = {{0, 26}, {1, 47}};
-  EXPECT_TRUE(history.AddRecord(std::move(rec)).ok());
+  EXPECT_TRUE(history.AddRecord(rec, {{0, 26}, {1, 47}}).ok());
   return history;
 }
 

@@ -183,27 +183,26 @@ TEST(SourceProfileTest, LearnSourceProfilesBatch) {
 /// A history over MakeTestWorld() (six entities, four subdomains, horizon
 /// 100) holding exactly `records`.
 source::SourceHistory MakeEdgeHistory(
-    std::vector<source::CaptureRecord> records) {
+    const std::vector<testing::RecordWithCaptures>& records) {
   source::SourceSpec spec;
   spec.name = "edge";
   spec.scope = {0, 1, 2, 3};
   source::SourceHistory history(spec, 6);
-  for (source::CaptureRecord& rec : records) {
-    EXPECT_TRUE(history.AddRecord(std::move(rec)).ok());
+  for (const testing::RecordWithCaptures& rec : records) {
+    EXPECT_TRUE(history.AddRecord(rec.header, rec.captures).ok());
   }
   return history;
 }
 
-source::CaptureRecord Captured(
+testing::RecordWithCaptures Captured(
     world::EntityId entity, world::SubdomainId sub, TimePoint deleted,
-    std::vector<std::pair<std::uint32_t, TimePoint>> captures) {
+    std::vector<source::VersionCapture> captures) {
   source::CaptureRecord rec;
   rec.entity = entity;
   rec.subdomain = sub;
   rec.inserted = captures.front().second;
   rec.deleted = deleted;
-  rec.version_captures = std::move(captures);
-  return rec;
+  return {rec, std::move(captures)};
 }
 
 /// Scope, interval and anchor at the edges of the window: events at day 0

@@ -49,8 +49,7 @@ TEST(HistoryIntegrationTest, EarliestMentionAcrossSourcesWins) {
   rec.subdomain = 0;
   rec.inserted = 1;
   rec.deleted = 52;
-  rec.version_captures = {{0, 1}, {1, 11}};
-  ASSERT_TRUE(early.AddRecord(rec).ok());
+  ASSERT_TRUE(early.AddRecord(rec, {{0, 1}, {1, 11}}).ok());
 
   world::DataDomain domain =
       world::DataDomain::Create("loc", 2, "cat", 2).value();
@@ -76,8 +75,7 @@ TEST(HistoryIntegrationTest, AliveWhileAnySourceStillCarries) {
   rec.subdomain = 1;
   rec.inserted = 10;
   rec.deleted = 85;
-  rec.version_captures = {{0, 10}};
-  ASSERT_TRUE(deleter.AddRecord(rec).ok());
+  ASSERT_TRUE(deleter.AddRecord(rec, {{0, 10}}).ok());
 
   world::DataDomain domain =
       world::DataDomain::Create("loc", 2, "cat", 2).value();

@@ -10,26 +10,26 @@ namespace {
 
 source::SourceHistory MakeSource(
     std::size_t n_entities,
-    std::vector<source::CaptureRecord> records, const char* name = "s") {
+    const std::vector<testing::RecordWithCaptures>& records,
+    const char* name = "s") {
   source::SourceSpec spec;
   spec.name = name;
   source::SourceHistory history(spec, n_entities);
-  for (auto& rec : records) {
-    Status status = history.AddRecord(std::move(rec));
+  for (const testing::RecordWithCaptures& rec : records) {
+    Status status = history.AddRecord(rec.header, rec.captures);
     EXPECT_TRUE(status.ok());
   }
   return history;
 }
 
-source::CaptureRecord Rec(
+testing::RecordWithCaptures Rec(
     world::EntityId id, TimePoint inserted, TimePoint deleted,
-    std::vector<std::pair<std::uint32_t, TimePoint>> captures) {
+    std::vector<source::VersionCapture> captures) {
   source::CaptureRecord rec;
   rec.entity = id;
   rec.inserted = inserted;
   rec.deleted = deleted;
-  rec.version_captures = std::move(captures);
-  return rec;
+  return {rec, std::move(captures)};
 }
 
 TEST(UnionIntegratorTest, UnionOfDisjointSources) {

@@ -2,12 +2,14 @@
 // single-buffer std::string_view parser: one std::getline per line and one
 // Split per row, capture list and capture pair. They are kept verbatim (less
 // the failpoints, spans and counters) as the oracle the fuzz suite compares
-// the production readers against.
+// the production readers against, with the same header range checks and
+// messages.
 #include "io/reference_scenario_reader.h"
 
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -58,6 +60,16 @@ Result<world::World> ReferenceReadWorldCsv(const std::string& path) {
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[2], &dim1_size));
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[4], &dim2_size));
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[5], &horizon));
+  for (int field : {2, 4}) {
+    const std::int64_t size = field == 2 ? dim1_size : dim2_size;
+    if (size < 0 || size > std::numeric_limits<std::uint32_t>::max()) {
+      return Status::InvalidArgument("dimension size out of range: " +
+                                     header[field]);
+    }
+  }
+  if (horizon < 0) {
+    return Status::InvalidArgument("negative horizon: " + header[5]);
+  }
   FRESHSEL_ASSIGN_OR_RETURN(
       world::DataDomain domain,
       world::DataDomain::Create(header[1],
@@ -113,6 +125,10 @@ Result<source::SourceHistory> ReferenceReadSourceHistoryCsv(
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[3], &spec.schedule.phase));
   std::int64_t entity_count = 0;
   FRESHSEL_RETURN_IF_ERROR(ParseInt(header[4], &entity_count));
+  if (entity_count < 0 ||
+      entity_count > std::numeric_limits<world::EntityId>::max()) {
+    return Status::InvalidArgument("entity count out of range: " + header[4]);
+  }
 
   if (!std::getline(in, line)) {
     return Status::InvalidArgument("missing scope line");
@@ -142,6 +158,7 @@ Result<source::SourceHistory> ReferenceReadSourceHistoryCsv(
       return Status::InvalidArgument("bad source row: " + line);
     }
     source::CaptureRecord record;
+    std::vector<source::VersionCapture> captures;
     std::int64_t value = 0;
     FRESHSEL_RETURN_IF_ERROR(ParseInt(fields[0], &value));
     record.entity = static_cast<world::EntityId>(value);
@@ -163,11 +180,10 @@ Result<source::SourceHistory> ReferenceReadSourceHistoryCsv(
         std::int64_t day = 0;
         FRESHSEL_RETURN_IF_ERROR(ParseInt(parts[0], &version));
         FRESHSEL_RETURN_IF_ERROR(ParseInt(parts[1], &day));
-        record.version_captures.emplace_back(
-            static_cast<std::uint32_t>(version), day);
+        captures.emplace_back(static_cast<std::uint32_t>(version), day);
       }
     }
-    FRESHSEL_RETURN_IF_ERROR(history.AddRecord(std::move(record)));
+    FRESHSEL_RETURN_IF_ERROR(history.AddRecord(record, captures));
   }
   return history;
 }

@@ -133,7 +133,7 @@ void ExpectSameSource(const Result<source::SourceHistory>& got,
     EXPECT_EQ(a.subdomain, b.subdomain) << context << " record " << i;
     EXPECT_EQ(a.inserted, b.inserted) << context << " record " << i;
     EXPECT_EQ(a.deleted, b.deleted) << context << " record " << i;
-    EXPECT_EQ(a.version_captures, b.version_captures)
+    EXPECT_EQ(testing::CapturesOf(*got, a), testing::CapturesOf(*want, b))
         << context << " record " << i;
   }
 }
@@ -356,6 +356,17 @@ TEST(ScenarioIoFuzzTest, WorldEdgeCasesMatchReference) {
       {"plus sign", head + "0,1,0,,+5\n", false},
       {"integer overflow", head + "0,1,0,,99999999999999999999\n", false},
       {"negative days", head + "0,1,-20,,-10|-3\n", true},
+      {"negative horizon",
+       "#world,loc,2,cat,2,-5\nid,subdomain,birth,death,updates\n", false},
+      {"negative dimension size",
+       "#world,loc,-1,cat,2,100\nid,subdomain,birth,death,updates\n",
+       false},
+      {"dimension size past 32 bits",
+       "#world,loc,2,cat,4294967296,100\nid,subdomain,birth,death,updates\n",
+       false},
+      {"subdomain count past 32 bits",
+       "#world,loc,65536,cat,65536,100\nid,subdomain,birth,death,updates\n",
+       false},
   };
   const std::string path = TempPath("fuzz_edge_world.csv");
   for (const EdgeCase& edge : cases) {
@@ -395,6 +406,14 @@ TEST(ScenarioIoFuzzTest, SourceEdgeCasesMatchReference) {
       {"entity out of range", head + "10,0,5,,0:5\n", false},
       {"missing scope line", "#source,s,1,0,10\n", false},
       {"negative days", head + "3,0,-4,-1,0:-4|1:-2\n", true},
+      {"negative entity count",
+       "#source,s,1,0,-1\n#scope,0\n"
+       "entity,subdomain,inserted,deleted,captures\n",
+       false},
+      {"entity count past EntityId",
+       "#source,s,1,0,4294967296\n#scope,0\n"
+       "entity,subdomain,inserted,deleted,captures\n",
+       false},
   };
   const std::string path = TempPath("fuzz_edge_source.csv");
   for (const EdgeCase& edge : cases) {
@@ -404,6 +423,28 @@ TEST(ScenarioIoFuzzTest, SourceEdgeCasesMatchReference) {
                                     << loaded.status().ToString();
     ExpectSameSource(loaded, ReferenceReadSourceHistoryCsv(path), edge.name);
   }
+  std::remove(path.c_str());
+}
+
+/// Header values that size in-memory tables used to wrap into a huge size
+/// and abort the process from inside the allocation.
+TEST(ScenarioIoFuzzTest, HostileHeadersAreInvalidArguments) {
+  const std::string path = TempPath("fuzz_hostile.csv");
+  WriteFile(path, "#world,a,2,b,2,-5\nid,subdomain,birth,death,updates\n");
+  Result<world::World> world = ReadWorldCsv(path);
+  EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.status().message(), "negative horizon: -5");
+  WriteFile(path, "#world,a,-2,b,2,5\nid,subdomain,birth,death,updates\n");
+  world = ReadWorldCsv(path);
+  EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.status().message(), "dimension size out of range: -2");
+
+  WriteFile(path,
+            "#source,s,1,0,-1\n#scope,0\n"
+            "entity,subdomain,inserted,deleted,captures\n");
+  const Result<source::SourceHistory> source = ReadSourceHistoryCsv(path);
+  EXPECT_EQ(source.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(source.status().message(), "entity count out of range: -1");
   std::remove(path.c_str());
 }
 

@@ -73,8 +73,7 @@ TEST(ComputeCountsTest, UnionAcrossSources) {
   rec.entity = 3;
   rec.subdomain = 2;
   rec.inserted = 15;
-  rec.version_captures = {{0, 15}, {1, 40}, {2, 60}};
-  ASSERT_TRUE(s2.AddRecord(rec).ok());
+  ASSERT_TRUE(s2.AddRecord(rec, {{0, 15}, {1, 40}, {2, 60}}).ok());
 
   QualityCounts single = ComputeCounts(w, {&s1}, 45);
   QualityCounts both = ComputeCounts(w, {&s1, &s2}, 45);

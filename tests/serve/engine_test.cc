@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -558,6 +560,48 @@ TEST_F(EngineTest, LoadScenarioOpIngestsAtRuntime) {
   QueryParams params = BaseParams();
   params.scenario = "runtime";
   EXPECT_TRUE(engine.ExecuteQuery(params).ok());
+}
+
+/// A scenario directory with a hostile header fails its load with the
+/// reader's status, and the registry keeps serving the previous epoch.
+TEST_F(EngineTest, HostileHeaderLoadFailsAndKeepsTheOldEpoch) {
+  ScenarioRegistry registry;
+  Engine::Options options;
+  options.ingest = BaseIngest();
+  Engine engine(&registry, options);
+  LoadParams load;
+  load.scenario = "default";
+  load.dir = scratch_.path();
+  ASSERT_TRUE(engine.LoadScenario(load).ok());
+
+  const std::vector<std::pair<std::string, std::string>> hostile = {
+      {"world.csv", "#world,location,5,category,2,-5\n"
+                    "id,subdomain,birth,death,updates\n"},
+      {"source_000.csv", "#source,s,1,0,-1\n#scope,0\n"
+                         "entity,subdomain,inserted,deleted,captures\n"}};
+  for (const auto& [file, text] : hostile) {
+    SCOPED_TRACE(file);
+    testing::ScratchDir dir("hostile");
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch_.path())) {
+      std::filesystem::copy(entry.path(),
+                            dir.path() + "/" +
+                                entry.path().filename().string());
+    }
+    {
+      std::ofstream out(dir.path() + "/" + file, std::ios::trunc);
+      out << text;
+    }
+    load.dir = dir.path();
+    const Result<ScenarioInfo> info = engine.LoadScenario(load);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument)
+        << info.status().ToString();
+    const std::vector<ScenarioInfo> list = engine.ListScenarios();
+    ASSERT_EQ(list.size(), 1u);
+    EXPECT_EQ(list[0].epoch, 1u);
+  }
+  EXPECT_TRUE(engine.ExecuteQuery(BaseParams()).ok());
 }
 
 TEST_F(EngineTest, RequestedReportIsSchemaV2Json) {

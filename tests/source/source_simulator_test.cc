@@ -92,7 +92,7 @@ TEST(SourceSimulatorTest, CapturesAlignToSchedule) {
   Rng rng(3);
   SourceHistory history = SimulateSource(w, spec, rng).value();
   for (const CaptureRecord& rec : history.records()) {
-    for (const auto& [version, day] : rec.version_captures) {
+    for (const auto& [version, day] : history.captures(rec)) {
       EXPECT_TRUE(spec.schedule.IsUpdateDay(day))
           << "capture at non-update day " << day;
     }
@@ -113,7 +113,7 @@ TEST(SourceSimulatorTest, CapturesNeverPrecedeEvents) {
   SourceHistory history = SimulateSource(w, spec, rng).value();
   for (const CaptureRecord& rec : history.records()) {
     const world::EntityRecord& entity = w.entity(rec.entity);
-    for (const auto& [version, day] : rec.version_captures) {
+    for (const auto& [version, day] : history.captures(rec)) {
       const TimePoint event_time =
           version == 0 ? entity.birth : entity.update_times[version - 1];
       EXPECT_GE(day, event_time);

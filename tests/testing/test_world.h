@@ -9,6 +9,19 @@
 
 namespace freshsel::testing {
 
+/// The captures of `rec`, one of `history`'s records, as a vector.
+inline std::vector<source::VersionCapture> CapturesOf(
+    const source::SourceHistory& history, const source::CaptureRecord& rec) {
+  const source::CaptureRange captures = history.captures(rec);
+  return {captures.begin(), captures.end()};
+}
+
+/// A capture record spelled out together with its captures.
+struct RecordWithCaptures {
+  source::CaptureRecord header;
+  std::vector<source::VersionCapture> captures;
+};
+
 /// Builds a tiny deterministic 2x2-subdomain world used across test suites.
 ///
 /// Horizon 100. Subdomains: (loc, cat) with 2 locations x 2 categories.
@@ -67,8 +80,7 @@ inline source::SourceHistory MakeTestSource(const world::World& w,
     rec.subdomain = sub;
     rec.inserted = inserted;
     rec.deleted = deleted;
-    rec.version_captures = std::move(captures);
-    Status status = history.AddRecord(std::move(rec));
+    Status status = history.AddRecord(rec, captures);
     (void)status;
   };
   add(0, 0, 2, 55, {{0, 2}, {1, 12}, {2, 35}});
