@@ -1,6 +1,7 @@
 // Microbenchmarks + ablations for the quality-estimation kernel: oracle-call
-// latency vs set size and horizon, memoized vs ad-hoc factor tables, signature
-// union width, and the estimator model variants called out in DESIGN.md.
+// latency vs set size and horizon, registered vs ad-hoc factor tables,
+// signature union width, and the estimator model variants called out in
+// DESIGN.md.
 // BM_ReadScenarioDir times the scenario-ingest layer in front of them.
 
 #include <benchmark/benchmark.h>
@@ -97,9 +98,9 @@ void BM_EstimateVsHorizon(benchmark::State& state) {
 BENCHMARK(BM_EstimateVsHorizon)->Arg(7)->Arg(30)->Arg(90)->Arg(180);
 
 void BM_EstimateCacheAblation(benchmark::State& state) {
-  // cache=1 evaluates at the registered eval time (memoized tables);
-  // cache=0 registers the day before, so the same call folds the factors
-  // ad hoc.
+  // cache=1 evaluates at the registered eval time (tables built at
+  // AddSource); cache=0 registers the day before, so the same call folds
+  // the factors ad hoc.
   const MicroFixture& fixture = MicroFixture::Get();
   auto estimator = MakeEstimator(fixture, state.range(0) != 0 ? 90 : 89);
   const auto set = FirstK(8);

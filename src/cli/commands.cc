@@ -134,18 +134,6 @@ Result<RobustnessOptions> ReadRobustnessFlags(const ArgMap& args) {
   return options;
 }
 
-/// `--strict` aborts on unfittable sources; `--degrade` (the default)
-/// substitutes subdomain priors and reports them.
-Result<estimation::DegradationMode> ReadDegradationMode(const ArgMap& args) {
-  FRESHSEL_ASSIGN_OR_RETURN(bool strict, args.GetBool("strict", false));
-  FRESHSEL_ASSIGN_OR_RETURN(bool degrade, args.GetBool("degrade", !strict));
-  if (strict && degrade) {
-    return Status::InvalidArgument("--strict and --degrade are exclusive");
-  }
-  return strict ? estimation::DegradationMode::kStrict
-                : estimation::DegradationMode::kDegrade;
-}
-
 void ReportDegradation(const estimation::DegradationReport& degradation,
                        obs::RunReport* report, std::ostream& out) {
   report->counters["degraded_sources"] = degradation.degraded.size();
@@ -156,6 +144,16 @@ void ReportDegradation(const estimation::DegradationReport& degradation,
 }
 
 }  // namespace
+
+Result<estimation::DegradationMode> ReadDegradationMode(const ArgMap& args) {
+  FRESHSEL_ASSIGN_OR_RETURN(bool strict, args.GetBool("strict", false));
+  FRESHSEL_ASSIGN_OR_RETURN(bool degrade, args.GetBool("degrade", !strict));
+  if (strict && degrade) {
+    return Status::InvalidArgument("--strict and --degrade are exclusive");
+  }
+  return strict ? estimation::DegradationMode::kStrict
+                : estimation::DegradationMode::kDegrade;
+}
 
 Status CheckUnreadFlags(const ArgMap& args) {
   const std::vector<std::string> unread = args.UnreadFlags();

@@ -3,6 +3,8 @@
 #include <ostream>
 
 #include "cli/args.h"
+#include "common/result.h"
+#include "estimation/degradation.h"
 #include "serve/protocol.h"
 
 namespace freshsel::cli {
@@ -58,6 +60,11 @@ Status RunQuery(const ArgMap& args, std::ostream& out);
 /// typos; commands that take no positionals reject stray tokens.
 Status CheckUnreadFlags(const ArgMap& args);
 Status CheckNoPositionals(const ArgMap& args);
+
+/// `--strict` aborts on unfittable sources; `--degrade` (the default)
+/// substitutes subdomain priors and reports them. Shared by every command
+/// that learns profiles (`characterize`, `select`, `serve`).
+Result<estimation::DegradationMode> ReadDegradationMode(const ArgMap& args);
 
 /// Reads the selection-query knobs shared by `select` (batch) and `query`
 /// (daemon client) into wire QueryParams - one reader, so a flag added for

@@ -59,16 +59,6 @@ Result<fault::RetryPolicy> ReadRetryFlags(const ArgMap& args) {
   return fault::RetryPolicy(retry_options);
 }
 
-Result<estimation::DegradationMode> ReadDegradation(const ArgMap& args) {
-  FRESHSEL_ASSIGN_OR_RETURN(bool strict, args.GetBool("strict", false));
-  FRESHSEL_ASSIGN_OR_RETURN(bool degrade, args.GetBool("degrade", !strict));
-  if (strict && degrade) {
-    return Status::InvalidArgument("--strict and --degrade are exclusive");
-  }
-  return strict ? estimation::DegradationMode::kStrict
-                : estimation::DegradationMode::kDegrade;
-}
-
 }  // namespace
 
 Status RunServe(const ArgMap& args, std::ostream& out) {
@@ -86,7 +76,7 @@ Status RunServe(const ArgMap& args, std::ostream& out) {
                             args.GetInt("prepared-cache", 32));
   FRESHSEL_ASSIGN_OR_RETURN(fault::RetryPolicy retry, ReadRetryFlags(args));
   FRESHSEL_ASSIGN_OR_RETURN(estimation::DegradationMode degradation_mode,
-                            ReadDegradation(args));
+                            ReadDegradationMode(args));
   FRESHSEL_RETURN_IF_ERROR(CheckUnreadFlags(args));
   FRESHSEL_RETURN_IF_ERROR(CheckNoPositionals(args));
   if (max_inflight < 1) {

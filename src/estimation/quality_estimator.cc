@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -89,8 +88,6 @@ Result<QualityEstimator> QualityEstimator::Create(
     est.time_index_.emplace_back(est.eval_times_[i], i);
   }
   std::sort(est.time_index_.begin(), est.time_index_.end());
-
-  est.fill_mutex_ = std::make_unique<Mutex>();
   return est;
 }
 
@@ -143,9 +140,15 @@ Result<QualityEstimator::SourceHandle> QualityEstimator::AddSource(
                                 divisor);
     }
   }
+  // Every evaluation path reads these tables (a query's first round scores
+  // each singleton at every eval time), so they are built here once and
+  // the estimator stays immutable afterwards.
+  src.tables.reserve(tables_.size());
+  for (const TimeTable& table : tables_) {
+    src.tables.push_back(BuildSourceTable(src, table));
+  }
   const SourceHandle handle = static_cast<SourceHandle>(sources_.size());
   sources_.push_back(std::move(src));
-  cache_.emplace_back(eval_times_.size());
   return handle;
 }
 
@@ -248,30 +251,6 @@ QualityEstimator::SourceTimeTable QualityEstimator::BuildSourceTable(
     }
   }
   return out;
-}
-
-const QualityEstimator::SourceTimeTable& QualityEstimator::SourceTableFor(
-    SourceHandle handle, std::size_t t_index) const {
-  MemoSlot& slot = cache_[handle][t_index];
-  // Hit path: one acquire load, no lock. A published table is never
-  // replaced, so the reference stays valid without holding anything.
-  if (const SourceTimeTable* table =
-          slot.table.load(std::memory_order_acquire)) {
-    FRESHSEL_OBS_COUNT("estimation.memo.hits", 1);
-    return *table;
-  }
-  MutexLock lock(*fill_mutex_);
-  if (const SourceTimeTable* table =
-          slot.table.load(std::memory_order_relaxed)) {
-    FRESHSEL_OBS_COUNT("estimation.memo.hits", 1);
-    return *table;
-  }
-  FRESHSEL_OBS_COUNT("estimation.memo.misses", 1);
-  auto built = std::make_unique<SourceTimeTable>(
-      BuildSourceTable(sources_[handle], tables_[t_index]));
-  const SourceTimeTable* raw = built.release();
-  slot.table.store(raw, std::memory_order_release);
-  return *raw;
 }
 
 template <typename Visitor>
@@ -461,7 +440,7 @@ struct QualityEstimator::Kernels {
       EvalContext::TimeState& ts = ctx.times_[ti];
       const std::size_t steps = ts.miss_ins.size();
       if (steps == 0 && ts.back_t.empty()) continue;
-      const SourceTimeTable& st = est.SourceTableFor(handle, ti);
+      const SourceTimeTable& st = src.tables[ti];
       // Same floored elementwise kernels as the plain path, so the
       // incremental running products are bit-identical to a full
       // recompute.
@@ -575,7 +554,7 @@ void QualityEstimator::EstimatePlain(const std::vector<SourceHandle>& set,
       const RegisteredSource& src = sources_[handle];
       const SourceTimeTable* st = &off_grid;
       if (first_index != kNoTimeIndex) {
-        st = &SourceTableFor(handle, first_index + i);
+        st = &src.tables[first_index + i];
       } else {
         off_grid = BuildSourceTable(src, table);
       }
@@ -758,10 +737,10 @@ EstimatedQuality QualityEstimator::EvalContext::EstimateAtIndex(
       backlog ? back_t0_.data() : nullptr,
       backlog ? ts.back_t.data() : nullptr};
   if (candidate != nullptr) {
-    const SourceTimeTable& st = est_->SourceTableFor(*candidate, t_index);
+    const RegisteredSource& src = est_->sources_[*candidate];
     return Kernels::EvaluateFromProducts<true>(*est_, table, up0, cov0, all0,
-                                               miss, &st,
-                                               &est_->sources_[*candidate]);
+                                               miss, &src.tables[t_index],
+                                               &src);
   }
   return Kernels::EvaluateFromProducts<false>(*est_, table, up0, cov0, all0,
                                               miss);

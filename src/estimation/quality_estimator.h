@@ -1,12 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bit_vector.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/time_types.h"
 #include "estimation/source_profile.h"
@@ -69,8 +66,9 @@ struct EstimatedQuality {
 /// greedy selection loop drops from O(k^2 n) to O(k n) estimator work, and
 /// the local searches score a full-set move as `Reset` to the sorted set.
 /// The per-(source, eval-time) miss-factor arrays it multiplies are laid
-/// out as contiguous structure-of-arrays tables, memoized at first use, so
-/// the inner loops are pure elementwise array products.
+/// out as contiguous structure-of-arrays tables, built for every eval time
+/// when the source is registered, so the inner loops are pure elementwise
+/// array products.
 ///
 /// `Estimate` / `EstimateAllTimes` are the plain reference: they OR the
 /// members' signatures at full width and multiply every member's factors
@@ -78,14 +76,14 @@ struct EstimatedQuality {
 /// sorted set reports exactly their values. They also answer off-grid
 /// eval times, which the context does not.
 ///
-/// Thread safety: `Create` and `AddSource` must run single-threaded, but
-/// once registration is done the evaluation path (`Estimate`,
-/// `EstimateAverage`, `EstimateAllTimes`, `MakeEvalContext` and the const
-/// getters) may be called concurrently: the plain path allocates its own
-/// buffers per call, and the per-(source, eval-time) memo publishes filled
-/// slots through per-slot atomic pointers, so the hit path is lock-free and
-/// only misses serialize on the fill mutex. Each `EvalContext` is
-/// single-threaded; create one per thread.
+/// Thread safety: `Create` and `AddSource` must run single-threaded; the
+/// estimator is immutable after `AddSource`, so the evaluation path
+/// (`Estimate`, `EstimateAverage`, `EstimateAllTimes`, `MakeEvalContext`
+/// and the const getters) may be called concurrently. The plain path
+/// allocates its own buffers per call. Each `EvalContext` is
+/// single-threaded; create one per thread. Move-only: a registered
+/// estimator holds O(sources * eval times * (t - t0)) factors, so it is
+/// never copied by accident.
 ///
 /// The hot loops (the miss-product multiply, the expectation fold and
 /// `EvalContext::Push`, whose word loop counts bits) are dispatched at run
@@ -267,11 +265,11 @@ class QualityEstimator {
 
   /// `domain` restricts all metrics to those subdomains (empty => whole
   /// domain). `eval_times` are the future time points T_f; estimates at
-  /// other times still work but are never cached. Returns InvalidArgument
-  /// on out-of-range subdomains, eval times before t0 or beyond
-  /// t0 + kMaxEvalHorizonSteps, or repeated eval times (duplicates would
-  /// silently alias one table slot and skew `EstimateAverage` /
-  /// `EstimateAllTimes` toward the repeated point).
+  /// other times still work but build their factor tables per call.
+  /// Returns InvalidArgument on out-of-range subdomains, eval times before
+  /// t0 or beyond t0 + kMaxEvalHorizonSteps, or repeated eval times
+  /// (duplicates would silently alias one table slot and skew
+  /// `EstimateAverage` / `EstimateAllTimes` toward the repeated point).
   static Result<QualityEstimator> Create(const world::World& world,
                                          const WorldChangeModel& model,
                                          std::vector<world::SubdomainId> domain,
@@ -282,7 +280,13 @@ class QualityEstimator {
                                          std::vector<world::SubdomainId> domain,
                                          TimePoints eval_times);
 
-  /// Registers `profile` at acquisition divisor `divisor` (>= 1). The
+  QualityEstimator(QualityEstimator&&) noexcept = default;
+  QualityEstimator& operator=(QualityEstimator&&) noexcept = default;
+  QualityEstimator(const QualityEstimator&) = delete;
+  QualityEstimator& operator=(const QualityEstimator&) = delete;
+
+  /// Registers `profile` at acquisition divisor `divisor` (>= 1) and builds
+  /// its miss-factor tables for every eval time, O(|T_f| * (t - t0)). The
   /// profile must outlive the estimator. The same profile may be registered
   /// several times with different divisors (the augmented set S^j_i of
   /// Section 5).
@@ -329,6 +333,19 @@ class QualityEstimator {
   EvalContext MakeEvalContext() const;
 
  private:
+  /// Per-(source, eval-time) miss-factor arrays, stored contiguously
+  /// (structure-of-arrays) so the miss-product loops - the hot inner loops
+  /// of both the full and the delta evaluation - are pure elementwise
+  /// multiplies the compiler auto-vectorizes.
+  struct SourceTimeTable {
+    std::vector<double> fac_ins;  ///< 1 - g_ins(tau).
+    std::vector<double> fac_del;  ///< 1 - cov0 * g_del(tau).
+    std::vector<double> fac_upd;  ///< 1 - cov0 * g_upd(tau).
+    /// Backlog miss factors 1 - Eff(g_ins, t, tau) for tau = 1 .. t0
+    /// (empty unless Options::model_capture_backlog).
+    std::vector<double> backlog_fac_t;
+  };
+
   struct RegisteredSource {
     const SourceProfile* profile = nullptr;
     std::int64_t divisor = 1;
@@ -344,6 +361,8 @@ class QualityEstimator {
     /// do not depend on the eval time, so they live here, not in the
     /// per-(source, eval-time) tables).
     std::vector<double> backlog_fac_t0;
+    /// The miss-factor tables, one per eval time (index as eval_times_).
+    std::vector<SourceTimeTable> tables;
   };
 
   /// Everything about one eval time that does not depend on the evaluated
@@ -366,43 +385,6 @@ class QualityEstimator {
     std::vector<double> w_back_up;  ///< w_back * exp(-gamma_u * age).
   };
 
-  /// Per-(source, eval-time) miss-factor arrays, stored contiguously
-  /// (structure-of-arrays) so the miss-product loops - the hot inner loops
-  /// of both the full and the delta evaluation - are pure elementwise
-  /// multiplies the compiler auto-vectorizes.
-  struct SourceTimeTable {
-    std::vector<double> fac_ins;  ///< 1 - g_ins(tau).
-    std::vector<double> fac_del;  ///< 1 - cov0 * g_del(tau).
-    std::vector<double> fac_upd;  ///< 1 - cov0 * g_upd(tau).
-    /// Backlog miss factors 1 - Eff(g_ins, t, tau) for tau = 1 .. t0
-    /// (empty unless Options::model_capture_backlog).
-    std::vector<double> backlog_fac_t;
-  };
-
-  /// One memo slot per (source, eval time). The filled table is published
-  /// through an atomic pointer: the hit path is a single acquire load (no
-  /// mutex), only misses take the fill lock. A published table is never
-  /// replaced, so returned references stay valid for the estimator's
-  /// lifetime.
-  struct MemoSlot {
-    std::atomic<const SourceTimeTable*> table{nullptr};
-
-    MemoSlot() = default;
-    MemoSlot(MemoSlot&& other) noexcept
-        : table(other.table.exchange(nullptr, std::memory_order_relaxed)) {}
-    MemoSlot& operator=(MemoSlot&& other) noexcept {
-      if (this != &other) {
-        delete table.exchange(
-            other.table.exchange(nullptr, std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      return *this;
-    }
-    MemoSlot(const MemoSlot&) = delete;
-    MemoSlot& operator=(const MemoSlot&) = delete;
-    ~MemoSlot() { delete table.load(std::memory_order_relaxed); }
-  };
-
   static constexpr std::size_t kNoTimeIndex =
       static_cast<std::size_t>(-1);
 
@@ -411,7 +393,7 @@ class QualityEstimator {
   /// The plain reference behind `Estimate` and `EstimateAllTimes`: `set`'s
   /// union counts once, then for each of the `count` tables at `tables`
   /// the members' miss factors multiplied in set order and folded into
-  /// `out[i]`. The factors come from the memo at eval-time index
+  /// `out[i]`. The factors are the registered tables at eval-time index
   /// `first_index + i`, or are built per call when `first_index` is
   /// kNoTimeIndex (one off-grid table).
   void EstimatePlain(const std::vector<SourceHandle>& set,
@@ -425,9 +407,6 @@ class QualityEstimator {
   TimeTable MakeTimeTable(TimePoint t) const;
   SourceTimeTable BuildSourceTable(const RegisteredSource& src,
                                    const TimeTable& table) const;
-  /// The memoized per-(source, eval-time) table; lock-free on hits.
-  const SourceTimeTable& SourceTableFor(SourceHandle handle,
-                                        std::size_t t_index) const;
 
   TimePoint t0_ = 0;
   TimePoints eval_times_;
@@ -442,15 +421,6 @@ class QualityEstimator {
   std::vector<TimeTable> tables_;  ///< One per eval time, built at Create.
   /// (eval time, index) pairs sorted by time for TimeIndexOf.
   std::vector<std::pair<TimePoint, std::size_t>> time_index_;
-
-  // Shared evaluation state (see class comment re thread safety). The
-  // memo cache is indexed [handle][eval time index]; inner vectors are
-  // sized at AddSource and never resized, and a filled slot is never
-  // rewritten, so references returned by SourceTableFor stay valid. The
-  // fill mutex serializes building a missing table; it sits behind a
-  // unique_ptr so the estimator stays movable.
-  mutable std::unique_ptr<Mutex> fill_mutex_;
-  mutable std::vector<std::vector<MemoSlot>> cache_;
 };
 
 }  // namespace freshsel::estimation

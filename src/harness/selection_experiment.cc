@@ -56,31 +56,11 @@ Result<PointSetup> BuildPoint(const LearnedScenario& learned,
   for (const auto& profile : learned.profiles) {
     profile_ptrs.push_back(&profile);
   }
-  std::vector<double> base_costs = CostModel::ItemShareCosts(profile_ptrs);
-
-  std::vector<std::uint32_t> source_of;
-  std::vector<std::int64_t> divisor_of;
-  std::vector<double> costs;
-  std::optional<selection::PartitionMatroid> matroid;
-  if (config.max_divisor > 1) {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        selection::AugmentedUniverse universe,
-        selection::BuildAugmentedUniverse(estimator, profile_ptrs,
-                                          base_costs, config.max_divisor));
-    source_of = std::move(universe.source_of);
-    divisor_of = std::move(universe.divisor_of);
-    costs = std::move(universe.costs);
-    matroid = std::move(universe.matroid);
-  } else {
-    for (std::size_t i = 0; i < profile_ptrs.size(); ++i) {
-      FRESHSEL_ASSIGN_OR_RETURN(QualityEstimator::SourceHandle handle,
-                                estimator.AddSource(profile_ptrs[i], 1));
-      (void)handle;
-      source_of.push_back(static_cast<std::uint32_t>(i));
-      divisor_of.push_back(1);
-      costs.push_back(base_costs[i]);
-    }
-  }
+  FRESHSEL_ASSIGN_OR_RETURN(
+      selection::SelectionUniverse universe,
+      selection::BuildSelectionUniverse(estimator, profile_ptrs,
+                                        CostModel::ItemShareCosts(profile_ptrs),
+                                        config.max_divisor));
 
   ProfitOracle::Config oracle_config;
   oracle_config.gain = config.gain;
@@ -89,14 +69,14 @@ Result<PointSetup> BuildPoint(const LearnedScenario& learned,
 
   FRESHSEL_ASSIGN_OR_RETURN(
       ProfitOracle oracle_value,
-      ProfitOracle::Create(estimator_ptr.get(), std::move(costs),
+      ProfitOracle::Create(estimator_ptr.get(), std::move(universe.costs),
                            oracle_config));
   PointSetup setup;
   setup.estimator = std::move(estimator_ptr);
   setup.oracle = std::make_unique<ProfitOracle>(std::move(oracle_value));
-  setup.source_of = std::move(source_of);
-  setup.divisor_of = std::move(divisor_of);
-  setup.matroid = std::move(matroid);
+  setup.source_of = std::move(universe.source_of);
+  setup.divisor_of = std::move(universe.divisor_of);
+  setup.matroid = std::move(universe.matroid);
   return setup;
 }
 

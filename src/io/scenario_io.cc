@@ -255,12 +255,28 @@ Result<world::World> ReadWorldCsv(const std::string& path) {
     return Status::InvalidArgument("negative horizon: " +
                                    std::string(header[5]));
   }
+  if (horizon > kMaxWorldHorizon) {
+    return Status::InvalidArgument("horizon out of range: " +
+                                   std::string(header[5]));
+  }
   FRESHSEL_ASSIGN_OR_RETURN(
       world::DataDomain domain,
       world::DataDomain::Create(std::string(header[1]),
                                 static_cast<std::uint32_t>(dim1_size),
                                 std::string(header[3]),
                                 static_cast<std::uint32_t>(dim2_size)));
+  if (domain.subdomain_count() > kMaxWorldSubdomains) {
+    return Status::InvalidArgument(
+        "too many subdomains: " + std::to_string(domain.subdomain_count()));
+  }
+  // Both factors are bounded above, so the product cannot overflow.
+  const std::int64_t cells =
+      (static_cast<std::int64_t>(domain.subdomain_count()) + 1) *
+      (horizon + 2);
+  if (cells > kMaxWorldCountCells) {
+    return Status::InvalidArgument("world count table too large: " +
+                                   std::to_string(cells) + " cells");
+  }
   world::World world(std::move(domain), horizon);
 
   if (!lines.Next(&line) || line != "id,subdomain,birth,death,updates") {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -29,12 +30,25 @@ namespace freshsel::io {
 /// `captures` holds version:day pairs; `deleted` is empty when the source
 /// never removed the entity.
 
+/// Largest horizon (days) a world file may declare, about 2.9k years.
+inline constexpr std::int64_t kMaxWorldHorizon = std::int64_t{1} << 20;
+/// Most subdomains a world file may declare. `World` keeps two vectors per
+/// subdomain (about 80 bytes with their heap blocks) whatever the horizon,
+/// so this bounds that part of a header's allocation at about 80 MB.
+inline constexpr std::int64_t kMaxWorldSubdomains = std::int64_t{1} << 20;
+/// Largest per-day count table a world file may size: `World::Finalize`
+/// allocates (subdomains + 1) * (horizon + 2) int32 cells, so this caps
+/// that allocation at 1 GiB before any row is read.
+inline constexpr std::int64_t kMaxWorldCountCells = std::int64_t{1} << 28;
+
 /// Writes `world` to `path`. Returns IoError on filesystem failure.
 Status WriteWorldCsv(const world::World& world, const std::string& path);
 
 /// Reads a world written by WriteWorldCsv. The returned world is
 /// finalized. Returns IoError / InvalidArgument on malformed input,
-/// including a negative horizon or a dimension size outside 32 bits.
+/// including a horizon outside [0, kMaxWorldHorizon], a dimension size
+/// outside 32 bits, more than kMaxWorldSubdomains subdomains, or a count
+/// table past kMaxWorldCountCells.
 Result<world::World> ReadWorldCsv(const std::string& path);
 
 /// Writes `history` to `path` (spec capture parameters other than the

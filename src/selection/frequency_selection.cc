@@ -1,6 +1,7 @@
 #include "selection/frequency_selection.h"
 
 #include <cstdint>
+#include <utility>
 
 namespace freshsel::selection {
 
@@ -39,6 +40,35 @@ Result<AugmentedUniverse> BuildAugmentedUniverse(
   return AugmentedUniverse{std::move(handles), std::move(source_of),
                            std::move(divisor_of), std::move(costs),
                            std::move(matroid)};
+}
+
+Result<SelectionUniverse> BuildSelectionUniverse(
+    estimation::QualityEstimator& estimator,
+    const std::vector<const estimation::SourceProfile*>& profiles,
+    const std::vector<double>& base_costs, std::int64_t max_divisor) {
+  if (profiles.size() != base_costs.size()) {
+    return Status::InvalidArgument("need one base cost per profile");
+  }
+  SelectionUniverse out;
+  if (max_divisor > 1) {
+    FRESHSEL_ASSIGN_OR_RETURN(
+        AugmentedUniverse universe,
+        BuildAugmentedUniverse(estimator, profiles, base_costs, max_divisor));
+    out.source_of = std::move(universe.source_of);
+    out.divisor_of = std::move(universe.divisor_of);
+    out.costs = std::move(universe.costs);
+    out.matroid = std::move(universe.matroid);
+    return out;
+  }
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    FRESHSEL_ASSIGN_OR_RETURN(estimation::QualityEstimator::SourceHandle handle,
+                              estimator.AddSource(profiles[i], 1));
+    (void)handle;
+    out.source_of.push_back(static_cast<std::uint32_t>(i));
+    out.divisor_of.push_back(1);
+    out.costs.push_back(base_costs[i]);
+  }
+  return out;
 }
 
 }  // namespace freshsel::selection

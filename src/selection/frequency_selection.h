@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -33,6 +34,25 @@ struct AugmentedUniverse {
 /// (e.g. from CostModel::ItemShareCosts). Returns InvalidArgument on size
 /// mismatches or max_divisor < 1.
 Result<AugmentedUniverse> BuildAugmentedUniverse(
+    estimation::QualityEstimator& estimator,
+    const std::vector<const estimation::SourceProfile*>& profiles,
+    const std::vector<double>& base_costs, std::int64_t max_divisor);
+
+/// The ground set one selection runs over, by element (estimator handle
+/// order): the augmented universe when max_divisor > 1, else every source
+/// once at divisor 1 at its base cost and no matroid, so MaxSub stays the
+/// paper's Algorithm 1.
+struct SelectionUniverse {
+  std::vector<std::uint32_t> source_of;
+  std::vector<std::int64_t> divisor_of;
+  std::vector<double> costs;
+  std::optional<PartitionMatroid> matroid;
+};
+
+/// Registers `profiles` into the empty `estimator` and builds the ground
+/// set: `BuildAugmentedUniverse` when max_divisor > 1, else each profile
+/// once at divisor 1. Returns InvalidArgument on size mismatches.
+Result<SelectionUniverse> BuildSelectionUniverse(
     estimation::QualityEstimator& estimator,
     const std::vector<const estimation::SourceProfile*>& profiles,
     const std::vector<double>& base_costs, std::int64_t max_divisor);

@@ -163,29 +163,16 @@ Result<std::shared_ptr<const PreparedQuery>> PrepareQuery(
   prepared->estimator =
       std::make_unique<estimation::QualityEstimator>(std::move(estimator));
 
-  std::vector<double> base_costs =
-      selection::CostModel::ItemShareCosts(prepared->profiles);
-  if (params.max_divisor > 1) {
-    FRESHSEL_ASSIGN_OR_RETURN(
-        selection::AugmentedUniverse universe,
-        selection::BuildAugmentedUniverse(*prepared->estimator,
-                                          prepared->profiles, base_costs,
-                                          params.max_divisor));
-    prepared->source_of = std::move(universe.source_of);
-    prepared->divisor_of = std::move(universe.divisor_of);
-    prepared->costs = std::move(universe.costs);
-    prepared->matroid = std::move(universe.matroid);
-  } else {
-    for (std::size_t i = 0; i < prepared->profiles.size(); ++i) {
-      FRESHSEL_ASSIGN_OR_RETURN(
-          auto handle,
-          prepared->estimator->AddSource(prepared->profiles[i], 1));
-      (void)handle;
-      prepared->source_of.push_back(static_cast<std::uint32_t>(i));
-      prepared->divisor_of.push_back(1);
-      prepared->costs.push_back(base_costs[i]);
-    }
-  }
+  FRESHSEL_ASSIGN_OR_RETURN(
+      selection::SelectionUniverse universe,
+      selection::BuildSelectionUniverse(
+          *prepared->estimator, prepared->profiles,
+          selection::CostModel::ItemShareCosts(prepared->profiles),
+          params.max_divisor));
+  prepared->source_of = std::move(universe.source_of);
+  prepared->divisor_of = std::move(universe.divisor_of);
+  prepared->costs = std::move(universe.costs);
+  prepared->matroid = std::move(universe.matroid);
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
 }
 

@@ -56,12 +56,13 @@ class ScenarioRegistry {
 };
 
 /// Everything about a query that outlives a single request: the estimator
-/// over the roster-filtered universe (whose memoized SoA miss-factor
-/// tables are the expensive resident state), the frequency-augmented
-/// universe when max_divisor > 1, and its unnormalized costs. Nothing here
-/// depends on metric, gain or budget, so one entry serves every trade-off.
-/// Immutable after construction; safe to share across concurrent requests
-/// (the estimator's evaluation path is thread-safe).
+/// over the roster-filtered universe (whose SoA miss-factor tables, built
+/// here as each source is registered, are the expensive resident state),
+/// the frequency-augmented universe when max_divisor > 1, and its
+/// unnormalized costs. Nothing here depends on metric, gain or budget, so
+/// one entry serves every trade-off. Immutable after construction; safe to
+/// share across concurrent requests (the estimator is immutable after
+/// `AddSource`).
 struct PreparedQuery {
   std::shared_ptr<const ResidentScenario> scenario;
   TimePoint t0 = 0;

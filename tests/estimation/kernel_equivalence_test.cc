@@ -6,9 +6,10 @@
 //    paths and across every Options mask including capture-backlog. Both
 //    copies run in one binary via simd::ScopedDefaultIsa; on a CPU without
 //    x86-64-v3 (or a scalar-forced build) both runs take the default copy.
-//  * Memoized vs ad-hoc tables: an eval time the estimator registered and
-//    one it did not give the same bits (the incremental path is also
-//    covered by eval_context_test).
+//  * Registered vs ad-hoc tables: an eval time the estimator registered
+//    and one it did not give the same bits, also after the registered
+//    estimator is moved (the incremental path is also covered by
+//    eval_context_test).
 //  * The kMissProductFloor underflow fix: ~200 high-effectiveness sources
 //    drive the per-tau miss products far below the subnormal range; the
 //    floor keeps the arithmetic normal while Push/Pop stays bit-exact and
@@ -21,10 +22,13 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/random.h"
+#include "common/result.h"
 #include "common/simd.h"
 #include "common/time_types.h"
 #include "estimation/quality_estimator.h"
@@ -199,28 +203,54 @@ TEST_P(KernelEquivalenceTest, FastMathDeltaPathWithinBoundOfExact) {
   }
 }
 
+static_assert(!std::is_copy_constructible_v<QualityEstimator> &&
+                  !std::is_copy_assignable_v<QualityEstimator>,
+              "a registered estimator is moved, never copied");
+static_assert(std::is_nothrow_move_constructible_v<QualityEstimator> &&
+                  std::is_nothrow_move_assignable_v<QualityEstimator>,
+              "Result<T> and PreparedQuery move estimators");
+
 TEST_P(KernelEquivalenceTest, ExactPathCachedAndUncachedBitIdentical) {
-  // The same (set, t) evaluated through the memoized SoA tables and
-  // through the uncached ad-hoc fold must agree bit for bit - including
+  // The same (set, t) evaluated through the tables built at AddSource and
+  // through the per-call ad-hoc fold must agree bit for bit - including
   // the kMissProductFloor, which both paths apply identically. The
   // uncached estimator registers a different eval time so TimeIndexOf
-  // misses and the ad-hoc branch runs.
+  // misses and the ad-hoc branch runs. The cached estimator is moved after
+  // registration the way the serve path moves it (out of a Result, onto
+  // the heap) and then move-assigned over another, so its tables must
+  // travel with it.
   QualityEstimator::Options options = OptionsFromMask(GetParam());
-  QualityEstimator cached =
-      MakeEstimator(options, {kT0 + 15, kT0 + 45, kT0 + 90});
+  Result<QualityEstimator> registered(
+      MakeEstimator(options, {kT0 + 15, kT0 + 45, kT0 + 90}));
+  auto heap = std::make_unique<QualityEstimator>(
+      std::move(registered).value());
+  QualityEstimator cached = MakeEstimator(options, {kT0 + 1});
+  cached = std::move(*heap);
+  heap.reset();
   QualityEstimator uncached = MakeEstimator(options, {kT0 + 33});
 
+  QualityEstimator::EvalContext ctx = cached.MakeEvalContext();
+  std::vector<EstimatedQuality> all_times;
+  std::vector<EstimatedQuality> ctx_times;
   Rng rng(59);
   for (int round = 0; round < 20; ++round) {
     std::vector<SourceHandle> set;
     for (std::size_t s = 0; s < cached.source_count(); ++s) {
       if (rng.Bernoulli(0.5)) set.push_back(static_cast<SourceHandle>(s));
     }
-    for (TimePoint t : cached.eval_times()) {
-      ExpectQualityIdentical(uncached.Estimate(set, t),
-                             cached.Estimate(set, t),
-                             "mask " + std::to_string(GetParam()) + ", t=" +
-                                 std::to_string(t));
+    cached.EstimateAllTimes(set, all_times);
+    ctx.Reset(set);
+    ctx.EstimateAllTimes(ctx_times);
+    ASSERT_EQ(all_times.size(), cached.eval_times().size());
+    ASSERT_EQ(ctx_times.size(), cached.eval_times().size());
+    for (std::size_t i = 0; i < cached.eval_times().size(); ++i) {
+      const TimePoint t = cached.eval_times()[i];
+      const std::string what = "mask " + std::to_string(GetParam()) +
+                               ", t=" + std::to_string(t);
+      const EstimatedQuality reference = uncached.Estimate(set, t);
+      ExpectQualityIdentical(reference, cached.Estimate(set, t), what);
+      ExpectQualityIdentical(reference, all_times[i], what + ", all times");
+      ExpectQualityIdentical(reference, ctx_times[i], what + ", context");
     }
   }
 }

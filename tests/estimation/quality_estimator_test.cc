@@ -287,9 +287,9 @@ TEST_F(EstimatorFixture, DomainRestrictionMatchesMaskedExact) {
 }
 
 TEST_F(EstimatorFixture, CacheDoesNotChangeResults) {
-  // `cached` memoizes tables for the times it evaluates; `uncached`
-  // registered other times, so the same evaluations fold the factors ad
-  // hoc. Both paths must publish the same bits.
+  // `cached` built its tables at AddSource for the times it evaluates;
+  // `uncached` registered other times, so the same evaluations fold the
+  // factors ad hoc. Both paths must publish the same bits.
   QualityEstimator cached = MakeEstimator({}, {kT0 + 40, kT0 + 80});
   QualityEstimator uncached = MakeEstimator({}, {kT0 + 41});
   for (TimePoint t : {kT0 + 40, kT0 + 80}) {

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include "common/string_util.h"
+#include "io/scenario_io.h"
 
 namespace freshsel::io {
 
@@ -70,12 +72,26 @@ Result<world::World> ReferenceReadWorldCsv(const std::string& path) {
   if (horizon < 0) {
     return Status::InvalidArgument("negative horizon: " + header[5]);
   }
+  if (horizon > kMaxWorldHorizon) {
+    return Status::InvalidArgument("horizon out of range: " + header[5]);
+  }
   FRESHSEL_ASSIGN_OR_RETURN(
       world::DataDomain domain,
       world::DataDomain::Create(header[1],
                                 static_cast<std::uint32_t>(dim1_size),
                                 header[3],
                                 static_cast<std::uint32_t>(dim2_size)));
+  if (domain.subdomain_count() > kMaxWorldSubdomains) {
+    return Status::InvalidArgument(
+        "too many subdomains: " + std::to_string(domain.subdomain_count()));
+  }
+  const std::int64_t cells =
+      (static_cast<std::int64_t>(domain.subdomain_count()) + 1) *
+      (horizon + 2);
+  if (cells > kMaxWorldCountCells) {
+    return Status::InvalidArgument("world count table too large: " +
+                                   std::to_string(cells) + " cells");
+  }
   world::World world(std::move(domain), horizon);
 
   if (!std::getline(in, line) ||

@@ -438,6 +438,24 @@ TEST(ScenarioIoFuzzTest, HostileHeadersAreInvalidArguments) {
   world = ReadWorldCsv(path);
   EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(world.status().message(), "dimension size out of range: -2");
+  WriteFile(path,
+            "#world,a,1,b,1,9000000000000000000\n"
+            "id,subdomain,birth,death,updates\n");
+  world = ReadWorldCsv(path);
+  EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.status().message(),
+            "horizon out of range: 9000000000000000000");
+  WriteFile(path,
+            "#world,a,2048,b,1024,0\nid,subdomain,birth,death,updates\n");
+  world = ReadWorldCsv(path);
+  EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.status().message(), "too many subdomains: 2097152");
+  WriteFile(path,
+            "#world,a,1000,b,1000,1000\nid,subdomain,birth,death,updates\n");
+  world = ReadWorldCsv(path);
+  EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.status().message(),
+            "world count table too large: 1002001002 cells");
 
   WriteFile(path,
             "#source,s,1,0,-1\n#scope,0\n"

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include <memory>
+#include <vector>
 
 #include "selection/algorithms.h"
 #include "selection/selector.h"
@@ -88,6 +89,35 @@ TEST_F(FrequencyFixture, AugmentedUniverseStructure) {
   EXPECT_DOUBLE_EQ(universe.costs[0], 100.0 / 1.1);
   EXPECT_DOUBLE_EQ(universe.costs[3], 100.0 / 1.4);
   EXPECT_DOUBLE_EQ(universe.costs[4], 200.0 / 1.1);
+}
+
+TEST_F(FrequencyFixture, SelectionUniverseAtDivisorOneHasNoMatroid) {
+  SelectionUniverse universe =
+      BuildSelectionUniverse(*estimator_, ProfilePtrs(),
+                             {100.0, 200.0, 300.0}, 1)
+          .value();
+  EXPECT_EQ(estimator_->source_count(), 3u);
+  EXPECT_EQ(universe.source_of, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(universe.divisor_of, (std::vector<std::int64_t>{1, 1, 1}));
+  EXPECT_EQ(universe.costs, (std::vector<double>{100.0, 200.0, 300.0}));
+  EXPECT_FALSE(universe.matroid.has_value());
+  EXPECT_FALSE(BuildSelectionUniverse(*estimator_, ProfilePtrs(), {1.0}, 1)
+                   .ok());  // Cost count mismatch.
+}
+
+TEST_F(FrequencyFixture, SelectionUniverseAboveDivisorOneIsAugmented) {
+  SelectionUniverse universe =
+      BuildSelectionUniverse(*estimator_, ProfilePtrs(),
+                             {100.0, 200.0, 300.0}, 2)
+          .value();
+  EXPECT_EQ(estimator_->source_count(), 6u);
+  EXPECT_EQ(universe.source_of,
+            (std::vector<std::uint32_t>{0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(universe.divisor_of,
+            (std::vector<std::int64_t>{1, 2, 1, 2, 1, 2}));
+  EXPECT_DOUBLE_EQ(universe.costs[1], 100.0 / 1.2);
+  ASSERT_TRUE(universe.matroid.has_value());
+  EXPECT_FALSE(universe.matroid->IsIndependent({0, 1}));
 }
 
 TEST_F(FrequencyFixture, MatroidForbidsTwoVersionsOfOneSource) {

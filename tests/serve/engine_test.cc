@@ -577,6 +577,8 @@ TEST_F(EngineTest, HostileHeaderLoadFailsAndKeepsTheOldEpoch) {
   const std::vector<std::pair<std::string, std::string>> hostile = {
       {"world.csv", "#world,location,5,category,2,-5\n"
                     "id,subdomain,birth,death,updates\n"},
+      {"world.csv", "#world,location,1,category,1,9000000000000000000\n"
+                    "id,subdomain,birth,death,updates\n"},
       {"source_000.csv", "#source,s,1,0,-1\n#scope,0\n"
                          "entity,subdomain,inserted,deleted,captures\n"}};
   for (const auto& [file, text] : hostile) {

@@ -261,7 +261,7 @@ TEST_F(ServeStressTest, TradeOffsFillOneColdEntryConcurrently) {
   }
 
   // No warm-up: the first request builds the entry, the rest coalesce
-  // onto it, and all of them fill its empty memo tables at once.
+  // onto it, and all of them then read its one estimator at once.
   Engine engine(&registry);
   EngineHandler handler(&engine);
   Server::Options options;
